@@ -25,15 +25,13 @@ from .core import (
     parse_permutations,
     validate_conserved_frame,
 )
-from .pqtree import PQNode, PQTree, build_pqtree, strong_common_intervals, weak_intervals_of_qnode
+from .pqtree import PQNode, PQTree, build_pqtree, weak_intervals_of_qnode
 from .common_enum import (
-    NestedReport,
     NodeAnnotation,
     ScanStats,
     annotate,
     count_b_nested_common,
     enumerate_b_nested_common,
-    nested_common_report,
 )
 from .conserved_tree import (
     ConservedNode,
@@ -62,7 +60,6 @@ __all__ = [
     "InternalStructureError",
     "Interval",
     "LengthMismatch",
-    "NestedReport",
     "NodeAnnotation",
     "NotAPermutation",
     "PQNode",
@@ -85,10 +82,8 @@ __all__ = [
     "irreducible_conserved_intervals",
     "is_common_interval",
     "is_conserved_interval",
-    "nested_common_report",
     "normalize",
     "parse_permutations",
-    "strong_common_intervals",
     "validate_conserved_frame",
     "weak_b_nested",
     "weak_conserved_intervals",

@@ -14,17 +14,20 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 from . import core, oracle
 from .common_enum import ScanStats, annotate, count_b_nested_common, enumerate_b_nested_common
 from .conserved_enum import count_b_nested_conserved, enumerate_b_nested_conserved
 from .conserved_tree import build_conserved_tree, irreducible_conserved_intervals
-from .pqtree import build_pqtree, strong_common_intervals
+from .pqtree import build_pqtree
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_MISMATCH = 2
 EXIT_IO = 3
+
+_WRITE_CHUNK = 1 << 16  # output lines per write
 
 
 @dataclass(frozen=True)
@@ -66,21 +69,20 @@ def _load_pset(config: RunConfig) -> core.PermutationSet:
     return pset
 
 
-def _endpoints(iv: core.Interval, pset: core.PermutationSet, original: bool) -> tuple:
-    if not original:
-        return iv.lo, iv.hi
-    return pset.original_label(iv.lo), pset.original_label(iv.hi)
-
-
 def _emit_intervals(intervals, pset, config: RunConfig, out) -> int:
+    """Write "lo hi" lines in bounded chunks; returns how many."""
     if config.sort:
         intervals = sorted(intervals)
+    labels = pset.original_of if config.original_labels else range(pset.n + 1)
+    names = list(map(str, labels))
+    it = iter(intervals)
     count = 0
-    for iv in intervals:
-        lo, hi = _endpoints(iv, pset, config.original_labels)
-        out.write(f"{lo} {hi}\n")
-        count += 1
-    return count
+    while True:
+        lines = [f"{names[lo]} {names[hi]}\n" for lo, hi in islice(it, _WRITE_CHUNK)]
+        if not lines:
+            return count
+        out.write("".join(lines))
+        count += len(lines)
 
 
 def _action_tree(config: RunConfig, out) -> int:
@@ -122,15 +124,13 @@ def _action_oracle_check(config: RunConfig, out) -> int:
         fast = set(enumerate_b_nested_common(tree, config.b, config.min_size))
         counted = count_b_nested_common(tree, config.b, config.min_size)
         family = oracle.all_common(pset)
-        fast_strong = {iv for iv in strong_common_intervals(pset) if iv.size() >= 2}
-        slow_strong = set(oracle.strong_of(family))
     else:
         tree = build_conserved_tree(pset)
         fast = set(enumerate_b_nested_conserved(tree, config.b, config.min_size))
         counted = count_b_nested_conserved(tree, config.b, config.min_size)
         family = oracle.all_conserved(pset)
-        fast_strong = {nd.interval for nd in tree.nodes if nd.size >= 2}
-        slow_strong = set(oracle.strong_of(family))
+    fast_strong = {nd.interval for nd in tree.nodes if nd.size >= 2}
+    slow_strong = set(oracle.strong_of(family))
     slow = {iv for iv in oracle.all_b_nested(family, config.b) if iv.size() >= config.min_size}
 
     problems = []
@@ -177,22 +177,26 @@ def _planted_raw(n: int, K: int, depth: int, span: int, rng: random.Random) -> l
 
 
 def _shuffle_with_blocks(n: int, blocks: list, rng: random.Random) -> list:
-    """Shuffle treating each block as one unit at its nesting level."""
-    def arrange(values, level):
-        # values: sorted list of labels at this level's scope
-        if level < len(blocks):
-            blo, bhi = blocks[level]
-            units = [[v] for v in values if v < blo or v > bhi]
-            units.append(arrange([v for v in values if blo <= v <= bhi], level + 1))
-        else:
-            units = [[v] for v in values]
+    """Shuffle treating each block as one unit at its nesting level,
+    innermost level first, in time linear in n plus the depth."""
+    lo, hi = 1, n  # scope of the current level
+    free = []  # free[t]: ascending labels of level t's scope outside block t
+    for blo, bhi in blocks:
+        free.append(list(range(lo, min(hi, blo - 1) + 1)) + list(range(max(lo, bhi + 1), hi + 1)))
+        lo, hi = max(lo, blo), min(hi, bhi)
+    inner = list(range(lo, hi + 1))
+    rng.shuffle(inner)
+    heads, tails = [], []
+    for labels in reversed(free):
+        units = labels + [0]  # 0 stands for the arranged inner block
         rng.shuffle(units)
-        flat = []
-        for u in units:
-            flat.extend(u)
-        return flat
-
-    return arrange(list(range(1, n + 1)), 0)
+        at = units.index(0)
+        heads.append(units[:at])
+        tails.append(units[at + 1:])
+    flat = [v for head in reversed(heads) for v in head]
+    flat.extend(inner)
+    flat.extend(v for tail in tails for v in tail)
+    return flat
 
 
 def _tree_internal_depth(tree) -> int:

@@ -12,9 +12,10 @@ the verdict localizes per node, children first:
 Weak intervals (unions of >= 2 consecutive Q-children) follow the same rule
 restricted to their child segment, which gives a left-to-right scan per
 Q-node: start at each child, extend right while the segment holds at most
-one b-large child and every included b-large child is b-nested.  The scan
-does a constant amount of work per emitted interval plus per child, so the
-whole enumeration is linear in output size plus tree size.
+one b-large child and every included b-large child is b-nested.  With the
+next b-large child precomputed, each start jumps to its stop in O(1), a
+bisect on the right ends honours min_size, and the run of ends is emitted in
+bulk: one step per child plus one per output, linear overall.
 
 Counting replaces the scan by two closed forms over the child sequence of
 each Q-node: a maximal run of h consecutive b-small children contributes
@@ -26,7 +27,9 @@ Q-nodes; P-nodes and leaves add 1 when b-nested.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import repeat
 
 from .core import Interval
 from .pqtree import PQNode, PQTree
@@ -41,17 +44,11 @@ class NodeAnnotation:
 
 @dataclass
 class ScanStats:
-    """Loop-step counter of the Q-scan, for output-sensitivity checks."""
+    """Work counter of the enumeration scans, for output-sensitivity checks:
+    one step per start child (or start frontier) plus one per emitted
+    interval."""
 
     iterations: int = 0
-
-
-@dataclass
-class NestedReport:
-    b: int
-    min_size: int
-    count: int
-    intervals: list | None = field(default=None)
 
 
 def annotate(tree: PQTree, b: int) -> dict:
@@ -75,24 +72,28 @@ def annotate(tree: PQTree, b: int) -> dict:
 def _scan_qnode(node, b, ann, min_size, out, stats):
     kids = node.children
     m = len(kids)
-    small = [c.size <= b for c in kids]
-    ok_large = [small[t] or ann[kids[t]].b_nested for t in range(m)]
-    iters = 0
+    his = [c.interval[1] for c in kids]
+    next_large = [m] * (m + 1)  # least index >= t of a b-large child, else m
+    for t in range(m - 1, -1, -1):
+        next_large[t] = t if kids[t].size > b else next_large[t + 1]
+    iters = m
     for a in range(m):
-        iters += 1
-        if not ok_large[a]:
-            continue
-        larges = 0 if small[a] else 1
-        lo = kids[a].interval.lo
-        for d in range(a + 1, m):
-            iters += 1
-            if not small[d]:
-                if not ok_large[d] or larges == 1:
-                    break
-                larges = 1
-            hi = kids[d].interval.hi
-            if hi - lo + 1 >= min_size:
-                out.append(Interval(lo, hi))
+        kid = kids[a]
+        d = next_large[a + 1]
+        if kid.size > b:
+            if not ann[kid].b_nested:
+                continue
+            stop = d
+        elif d < m and ann[kids[d]].b_nested:
+            stop = next_large[d + 1]
+        else:
+            stop = d
+        lo = kid.interval[0]
+        start = bisect_left(his, lo + min_size - 1, a + 1, stop)
+        k = stop - start
+        if k > 0:
+            out.extend(map(tuple.__new__, repeat(Interval, k), zip(repeat(lo, k), his[start:stop])))
+            iters += k
     if stats is not None:
         stats.iterations += iters
 
@@ -174,9 +175,3 @@ def count_b_nested_common(tree: PQTree, b: int, min_size: int = 1) -> int:
             total += sum(large_terms) + sum(run_terms)
     return total
 
-
-def nested_common_report(tree: PQTree, b: int, min_size: int = 1, want_intervals: bool = False) -> NestedReport:
-    if want_intervals:
-        intervals = list(enumerate_b_nested_common(tree, b, min_size))
-        return NestedReport(b, min_size, len(intervals), intervals)
-    return NestedReport(b, min_size, count_b_nested_common(tree, b, min_size))

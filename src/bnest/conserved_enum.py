@@ -10,18 +10,23 @@ good; in particular a node's own interval is b-nested iff it has no gap or
 exactly one, good.  Children report their verdicts to the parent step they
 sit in (their L_link), so one post-order pass annotates the whole tree.
 
-Enumeration scans each node's frontiers left to right, extending while the
-crossed steps stay admissible; the node interval, excluded from the scan, is
-emitted on its own when b-nested.  Counting uses per-node closed forms: a
-maximal run of h consecutive small steps holds h*(h+1)/2 pairs, and the
-pairs whose single gap is the good gap g number (l+1)*(r+1), with l and r
-the lengths of the small runs flanking g.  Those two families partition all
-admissible pairs including the full one, so the totals match enumeration
-with no separate node term.
+Enumeration scans each node's frontiers.  With the next gap step
+precomputed, each start jumps in O(1) to its last end (the frontier opening
+the first bad gap, or the next gap past one good gap), a bisect honours
+min_size, and the run of ends is emitted in bulk.  The full pair is left
+out of the scan; the node interval follows it when b-nested.
+
+Counting uses per-node closed forms: a maximal run of h consecutive small
+steps holds h*(h+1)/2 pairs, and the pairs whose single gap is the good gap
+g number (l+1)*(r+1), with l and r the lengths of the small runs flanking g.
+Those two families partition all admissible pairs including the full one,
+so the totals match enumeration with no separate node term.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 
 from .core import Interval
 from .conserved_tree import ConservedNode, ConservedTree
@@ -103,26 +108,28 @@ def enumerate_b_nested_conserved(tree: ConservedTree, b: int, min_size: int = 1,
     if min_size <= 1:
         for v in range(1, tree.n + 1):
             yield Interval(v, v)
+    node_min = max(2, min_size)
     iters = 0
     for node in tree.nodes:
         f = node.frontiers
-        m = len(f)
+        s = len(f) - 1  # number of steps
         gap_at = ann[node].gap_at
-        for i in range(m - 1):
-            iters += 1
-            goods = 0
-            for j in range(i + 1, m):
-                iters += 1
-                step = gap_at[j - 1]
-                if step != STEP_PLAIN:
-                    if step == STEP_GAP:
-                        break
-                    goods += 1
-                    if goods == 2:
-                        break
-                if (i, j) != (0, m - 1) and f[j] - f[i] + 1 >= min_size:
-                    yield Interval(f[i], f[j])
-        if ann[node].node_b_nested and node.size >= max(2, min_size):
+        next_gap = [s] * (s + 1)  # least step index >= t that is a gap, else s
+        for t in range(s - 1, -1, -1):
+            next_gap[t] = next_gap[t + 1] if gap_at[t] == STEP_PLAIN else t
+        iters += s
+        for i in range(s):
+            p = next_gap[i]
+            last = next_gap[p + 1] if p < s and gap_at[p] == STEP_GOOD else p
+            if i == 0 and last == s:
+                last -= 1  # the full pair is the node interval, emitted below
+            lo = f[i]
+            start = bisect_left(f, lo + min_size - 1, i + 1, last + 1)
+            k = last + 1 - start
+            if k > 0:
+                iters += k
+                yield from map(tuple.__new__, repeat(Interval, k), zip(repeat(lo, k), f[start:last + 1]))
+        if ann[node].node_b_nested and node.size >= node_min:
             yield node.interval
     if stats is not None:
         stats.iterations += iters

@@ -24,14 +24,13 @@ the PQ-tree emits the nodes in post-order.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import Interval, PermutationSet, validate_conserved_frame
 from ._kernels import canonicalize, exact_bounds
-from .pqtree import _strong_bounds, _emit_strong
+from .pqtree import StrongTree, _emit_strong, _strong_bounds
 
 
 class InternalStructureError(RuntimeError):
@@ -46,10 +45,10 @@ class ConservedNode:
     parent: "ConservedNode | None" = field(default=None, repr=False)
     L_link: "tuple | None" = None  # successive parent frontiers around self
     parent_step: "int | None" = field(default=None, repr=False)
+    size: int = field(init=False, repr=False)
 
-    @property
-    def size(self) -> int:
-        return self.interval.size()
+    def __post_init__(self):
+        self.size = self.interval.size()  # read per child by every annotate pass
 
     def steps(self):
         """Successive frontier pairs; these are the irreducible intervals."""
@@ -57,15 +56,7 @@ class ConservedNode:
         return [Interval(f[t], f[t + 1]) for t in range(len(f) - 1)]
 
 
-class ConservedTree:
-    def __init__(self, root: ConservedNode, nodes: list, R: list, L: list, pset: PermutationSet):
-        self.root = root
-        self.nodes = nodes  # post-order
-        self.n = pset.n
-        self.pset = pset
-        self._R = R
-        self._L = L
-
+class ConservedTree(StrongTree):
     def is_conserved(self, lo: int, hi: int) -> bool:
         """Membership test, 1-based ends; unit intervals always qualify."""
         if not (1 <= lo <= hi <= self.n):
@@ -83,34 +74,21 @@ class ConservedTree:
             total += m * (m - 1) // 2
         return total
 
-    def to_text(self) -> str:
-        lines = []
-        stack = [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            fr = "{" + ",".join(str(f) for f in node.frontiers) + "}"
-            line = "  " * depth + f"S {node.interval} F={fr}"
-            if node.L_link is not None:
-                line += f" L=({node.L_link[0]},{node.L_link[1]})"
-            lines.append(line)
-            for child in reversed(node.children):
-                stack.append((child, depth + 1))
-        return "\n".join(lines)
+    @staticmethod
+    def _text_line(node: ConservedNode) -> str:
+        line = f"S {node.interval} F={{{','.join(str(f) for f in node.frontiers)}}}"
+        if node.L_link is not None:
+            line += f" L=({node.L_link[0]},{node.L_link[1]})"
+        return line
 
-    def to_json_obj(self) -> dict:
-        def obj(node):
-            return {
-                "lo": node.interval.lo,
-                "hi": node.interval.hi,
-                "frontiers": list(node.frontiers),
-                "L_link": list(node.L_link) if node.L_link else None,
-                "children": [obj(c) for c in node.children],
-            }
-
-        return obj(self.root)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+    @staticmethod
+    def _json_fields(node: ConservedNode) -> dict:
+        return {
+            "lo": node.interval.lo,
+            "hi": node.interval.hi,
+            "frontiers": list(node.frontiers),
+            "L_link": list(node.L_link) if node.L_link else None,
+        }
 
 
 def _doubled_position_matrix(pset: PermutationSet) -> np.ndarray:

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -58,16 +59,25 @@ class BadFrame(PermutationError):
         self.found = found
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    """Closed integer range (lo..hi), 1-based, lo <= hi."""
+class Interval(tuple):
+    """Closed integer range (lo..hi), 1-based, lo <= hi.
 
-    lo: int
-    hi: int
+    An immutable (lo, hi) tuple that compares, sorts and hashes as one.  Bulk
+    producers that know lo <= hi call `tuple.__new__(Interval, (lo, hi))`.
+    """
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("empty interval (%d..%d)" % (self.lo, self.hi))
+    __slots__ = ()
+
+    def __new__(cls, lo: int, hi: int) -> "Interval":
+        if lo > hi:
+            raise ValueError("empty interval (%d..%d)" % (lo, hi))
+        return tuple.__new__(cls, (lo, hi))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)  # copy and pickle call __new__(cls, lo, hi)
+
+    lo = property(itemgetter(0), doc="left end")
+    hi = property(itemgetter(1), doc="right end")
 
     def size(self) -> int:
         return self.hi - self.lo + 1
@@ -85,7 +95,10 @@ class Interval:
         return not (self.contains(other) or other.contains(self))
 
     def __str__(self) -> str:
-        return "(%d..%d)" % (self.lo, self.hi)
+        return "(%d..%d)" % self
+
+    def __repr__(self) -> str:
+        return "Interval(lo=%r, hi=%r)" % self
 
 
 @dataclass(frozen=True)
@@ -110,9 +123,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.elements)
 
-    def position(self, label: int) -> int:
-        return self.positions[label]
-
 
 @dataclass(frozen=True)
 class SignedPermutation:
@@ -134,12 +144,6 @@ class SignedPermutation:
     def n(self) -> int:
         return len(self.elements)
 
-    def position(self, label: int) -> int:
-        return self.positions[label]
-
-    def sign_of(self, label: int) -> int:
-        return self.signs[self.positions[label] - 1]
-
     def signed_elements(self) -> tuple:
         return tuple(v * s for v, s in zip(self.elements, self.signs))
 
@@ -160,9 +164,6 @@ class PermutationSet:
     signed: bool
     relabeling: dict = field(repr=False)
     original_of: tuple = field(repr=False)
-
-    def original_label(self, renumbered: int) -> int:
-        return self.original_of[renumbered]
 
 
 def _check_raw(raw: Sequence[Sequence[int]]) -> int:
@@ -263,8 +264,8 @@ def apply_frame(pset: PermutationSet) -> PermutationSet:
 
     The sentinels get pseudo-labels just outside the original label range
     (min-1 in front, max+1 in back; max+2 in front when min-1 would hit 0),
-    so relabeling stays a bijection and `original_label` keeps working for
-    framed results.
+    so relabeling stays a bijection and `original_of` covers framed results
+    too.
     """
     hi_sent = max(pset.relabeling) + 1
     lo_sent = min(pset.relabeling) - 1

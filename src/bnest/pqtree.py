@@ -41,26 +41,73 @@ class PQNode:
     kind: str  # 'P', 'Q' or 'LEAF'
     children: list = field(default_factory=list)
     parent: "PQNode | None" = field(default=None, repr=False)
+    size: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.size = self.interval.size()  # read per child by every annotate pass
 
     @property
     def is_leaf(self) -> bool:
         return self.kind == "LEAF"
 
-    @property
-    def size(self) -> int:
-        return self.interval.size()
 
+class StrongTree:
+    """Tree of strong intervals, nodes in post-order, plus the generator
+    (R, L) it came from.  Subclasses give each node's text line and JSON
+    fields; every traversal is iterative, so depth is bounded only by n."""
 
-class PQTree:
-    """Container for the assembled tree plus the generator it came from."""
-
-    def __init__(self, root: PQNode, nodes: list, R: list, L: list, pset: PermutationSet):
+    def __init__(self, root, nodes: list, R: list, L: list, pset: PermutationSet):
         self.root = root
         self.nodes = nodes  # post-order
         self.n = pset.n
         self.pset = pset
         self._R = R
         self._L = L
+
+    def to_text(self) -> str:
+        lines = []
+        stack = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            lines.append("  " * depth + self._text_line(node))
+            for child in reversed(node.children):
+                stack.append((child, depth + 1))
+        return "\n".join(lines)
+
+    def to_json_obj(self) -> dict:
+        """Nested dicts: each node's JSON fields plus a "children" list."""
+        top = dict(self._json_fields(self.root), children=[])
+        stack = [(self.root, top)]
+        while stack:
+            node, obj = stack.pop()
+            for child in node.children:
+                sub = dict(self._json_fields(child), children=[])
+                obj["children"].append(sub)
+                stack.append((child, sub))
+        return top
+
+    def to_json(self) -> str:
+        """The text json.dumps gives for to_json_obj(); json.dumps itself
+        recurses once per nesting level."""
+        parts = []
+        stack = [self.root]  # nodes, and the separators and closers between them
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            parts.append(json.dumps(self._json_fields(item))[:-1] + ', "children": [')
+            stack.append("]}")
+            kids = item.children
+            for t in range(len(kids) - 1, -1, -1):
+                stack.append(kids[t])
+                if t:
+                    stack.append(", ")
+        return "".join(parts)
+
+
+class PQTree(StrongTree):
+    """PQ-tree of the common intervals."""
 
     def is_common(self, lo: int, hi: int) -> bool:
         """Membership test for the common-interval family, 1-based ends."""
@@ -78,30 +125,13 @@ class PQTree:
                 total += m * (m - 1) // 2 - 1
         return total
 
-    def to_text(self) -> str:
-        lines = []
-        stack = [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            tag = "L" if node.is_leaf else node.kind
-            lines.append("  " * depth + f"{tag} {node.interval}")
-            for child in reversed(node.children):
-                stack.append((child, depth + 1))
-        return "\n".join(lines)
+    @staticmethod
+    def _text_line(node: PQNode) -> str:
+        return f"{'L' if node.is_leaf else node.kind} {node.interval}"
 
-    def to_json_obj(self) -> dict:
-        def obj(node):
-            return {
-                "kind": node.kind,
-                "lo": node.interval.lo,
-                "hi": node.interval.hi,
-                "children": [obj(c) for c in node.children],
-            }
-
-        return obj(self.root)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+    @staticmethod
+    def _json_fields(node: PQNode) -> dict:
+        return {"kind": node.kind, "lo": node.interval.lo, "hi": node.interval.hi}
 
 
 def _strong_bounds(R: list, L: list, n: int):
@@ -159,15 +189,10 @@ def _emit_strong(lo, hi, n):
             cur = nxt
 
 
-def _bounds_for(pset: PermutationSet):
-    posmat = position_matrix(pset.perms)
-    return canonical_generator(posmat, pset.n)
-
-
 def build_pqtree(pset: PermutationSet) -> PQTree:
     """Build the PQ-tree of the common intervals of pset."""
     n = pset.n
-    R, L = _bounds_for(pset)
+    R, L = canonical_generator(position_matrix(pset.perms), n)
     lo, hi = _strong_bounds(R, L, n)
 
     def mem(i, j):
@@ -191,19 +216,6 @@ def build_pqtree(pset: PermutationSet) -> PQTree:
         done.append((i, node))
     assert len(done) == 1, "strong intervals did not close into one tree"
     return PQTree(done[0][1], nodes, R, L, pset)
-
-
-def strong_common_intervals(pset: PermutationSet) -> list:
-    """All strong common intervals, sorted by (lo, hi).
-
-    Includes the n singletons and (1..n).
-    """
-    n = pset.n
-    R, L = _bounds_for(pset)
-    lo, hi = _strong_bounds(R, L, n)
-    out = [Interval(i + 1, j + 1) for i, j in _emit_strong(lo, hi, n)]
-    out.sort()
-    return out
 
 
 def weak_intervals_of_qnode(node: PQNode, include_full: bool = False) -> list:

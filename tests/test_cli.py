@@ -2,14 +2,16 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import random
 
 import pytest
 
 from bnest import cli, core, oracle
+from bnest.conserved_tree import build_conserved_tree
 from bnest.pqtree import build_pqtree
-from conftest import GOLD_COMMON_RAW, GOLD_CONSERVED_RAW, random_unsigned_raw
+from conftest import GOLD_COMMON_RAW, GOLD_CONSERVED_RAW, random_framed_raw, random_unsigned_raw
 
 
 def _write(tmp_path, name, raw):
@@ -74,6 +76,73 @@ def test_tree_text_and_json(capsys, gold_conserved_file):
     assert obj["lo"] == 1 and obj["hi"] == 9 and len(obj["children"]) == 2
 
 
+def _chain_raw(mode: str, depth: int) -> list:
+    """Identity plus a second permutation whose strong intervals form one
+    chain of `depth` nested nodes.
+
+    common: even labels appended and odd ones prepended, so the nodes are
+    (1..k) for k = 2..n.  conserved: layer k of positions {k, n+1-k} holds
+    +k ... +(n+1-k) for odd k and -(n+1-k) ... -k for even k, so the nodes
+    are (k..n+1-k).
+    """
+    if mode == "common":
+        n = depth + 1
+        second = [v for v in range(n, 0, -1) if v % 2] + [v for v in range(2, n + 1, 2)]
+    else:
+        n = 2 * depth + 1
+        second = [p if min(p, n + 1 - p) % 2 else -(n + 1 - p) for p in range(1, n + 1)]
+    return [list(range(1, n + 1)), second]
+
+
+@pytest.mark.parametrize("mode", ["common", "conserved"])
+def test_tree_json_deep_chain(capsys, tmp_path, mode):
+    depth = 10_001
+    path = _write(tmp_path, "chain.txt", _chain_raw(mode, depth))
+    code, out = _run(capsys, ["tree", "--json", "--mode", mode, path])
+    assert code == 0
+    # every node is one JSON object; leaves add a level below the common chain
+    nesting = max(itertools.accumulate((c == "{") - (c == "}") for c in out))
+    assert nesting == (depth + 1 if mode == "common" else depth)
+    assert out.count("{") == out.count("}") and out.count("[") == out.count("]")
+
+
+def test_tree_json_text_matches_json_dumps():
+    rng = random.Random(515)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        tree = build_pqtree(core.normalize(random_unsigned_raw(rng, n, rng.randint(1, 4))))
+        assert tree.to_json() == json.dumps(tree.to_json_obj())
+        pset = core.normalize(random_framed_raw(rng, n, rng.randint(1, 4)), signed=True)
+        tree = build_conserved_tree(pset)
+        assert tree.to_json() == json.dumps(tree.to_json_obj())
+
+
+def test_enumerate_sorted_original_labels_match_oracle(capsys, tmp_path):
+    """Byte-for-byte output of enumerate --sort --original-labels against
+    the oracle's set, rendered through the recorded relabeling."""
+    rng = random.Random(4242)
+    for idx in range(16):
+        mode = ("common", "conserved")[idx % 2]
+        n = rng.randint(2, 9)
+        K = rng.randint(1, 4)
+        raw = random_unsigned_raw(rng, n, K) if mode == "common" else random_framed_raw(rng, n, K)
+        names = rng.sample(range(1, 5 * n), n)  # original labels: any distinct positives
+        raw = [[names[abs(x) - 1] * (1 if x > 0 else -1) for x in row] for row in raw]
+        path = _write(tmp_path, f"inst{idx}.txt", raw)
+        pset = core.normalize(raw, signed=True if mode == "conserved" else None)
+        family = oracle.all_common(pset) if mode == "common" else oracle.all_conserved(pset)
+        for b in (1, 2, 4):
+            nested = oracle.all_b_nested(family, b)
+            for ms in (1, 2):
+                want = "".join(f"{pset.original_of[iv.lo]} {pset.original_of[iv.hi]}\n"
+                               for iv in sorted(iv for iv in nested if iv.size() >= ms))
+                code, out = _run(capsys, ["enumerate", "--sort", "--original-labels",
+                                          "--mode", mode, "--b", str(b),
+                                          "--min-size", str(ms), path])
+                assert code == 0
+                assert out == want, (mode, b, ms, raw)
+
+
 def test_original_labels_round_trip(capsys, tmp_path):
     raw = [[3, 1, 4, 2, 5], [3, 4, 1, 2, 5]]
     path = _write(tmp_path, "relabel.txt", raw)
@@ -86,7 +155,7 @@ def test_original_labels_round_trip(capsys, tmp_path):
     for line in original.splitlines():
         a, c = (int(t) for t in line.split())
         # map endpoints back through the recorded relabeling
-        inv = {pset.original_label(r): r for r in range(1, 6)}
+        inv = {pset.original_of[r]: r for r in range(1, 6)}
         back.append(f"{inv[a]} {inv[c]}")
     assert back == renumbered.splitlines()
 
@@ -155,6 +224,15 @@ def test_gen_planted_depth(capsys):
             depth = max(depth, d)
             stack.extend((c, d + 1) for c in node.children)
     assert depth >= 3  # root plus the two planted levels
+
+
+def test_gen_planted_deep_nesting(capsys):
+    """Two thousand planted levels used to exceed the recursion limit."""
+    code = cli.main(["gen", "--model", "planted-nested", "--n", "3000",
+                     "--depth", "2000", "--span", "2500", "--k", "2", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION)
+    assert code == cli.EXIT_OK or "could not plant" in err
 
 
 def test_gen_signed_framed(capsys):

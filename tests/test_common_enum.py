@@ -13,7 +13,6 @@ from bnest.common_enum import (
     annotate,
     count_b_nested_common,
     enumerate_b_nested_common,
-    nested_common_report,
     qnode_count_parts,
 )
 from bnest.pqtree import build_pqtree
@@ -64,11 +63,10 @@ def test_annotate_rejects_bad_b(gold_tree):
         annotate(gold_tree, 0)
 
 
-def test_report_materializes_on_request(gold_tree):
-    rep = nested_common_report(gold_tree, 1, min_size=2)
-    assert (rep.b, rep.min_size, rep.count, rep.intervals) == (1, 2, 8, None)
-    rep = nested_common_report(gold_tree, 1, min_size=2, want_intervals=True)
-    assert rep.count == 8 and len(rep.intervals) == 8
+def test_count_matches_materialized_enumeration(gold_tree):
+    assert count_b_nested_common(gold_tree, 1, min_size=2) == 8
+    intervals = list(enumerate_b_nested_common(gold_tree, 1, min_size=2))
+    assert len(intervals) == 8
 
 
 def test_qnode_count_parts_pattern():
@@ -148,6 +146,19 @@ def test_enumerate_matches_oracle(n, K, b, seed):
     wide = {iv for iv in expected if iv.size() >= 2}
     assert set(enumerate_b_nested_common(tree, b, 2)) == wide
     assert count_b_nested_common(tree, b, 2) == len(wide)
+
+
+@given(st.integers(1, 12), st.integers(1, 5), st.integers(1, 5), st.integers(3, 6),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_enumerate_min_size_matches_oracle(n, K, b, min_size, seed):
+    pset = core.normalize(random_unsigned_raw(random.Random(seed), n, K))
+    tree = build_pqtree(pset)
+    expected = {iv for iv in oracle.all_b_nested(oracle.all_common(pset), b)
+                if iv.size() >= min_size}
+    got = list(enumerate_b_nested_common(tree, b, min_size))
+    assert len(got) == len(set(got))
+    assert set(got) == expected
 
 
 @given(st.integers(2, 12), st.integers(2, 4), st.integers(0, 2**32 - 1))

@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnest import core, oracle
 from bnest.common_enum import ScanStats
@@ -117,6 +119,20 @@ def test_random_instances_match_oracle():
             assert set(enumerate_b_nested_conserved(tree, b, 2)) == wide
             assert count_b_nested_conserved(tree, b, 2) == len(wide)
             assert stats.iterations <= 4 * (n + len(got))
+
+
+@given(st.integers(2, 12), st.integers(1, 5), st.integers(1, 5), st.integers(3, 6),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_enumerate_min_size_matches_oracle(n, K, b, min_size, seed):
+    raw = random_framed_raw(random.Random(seed), n, K)
+    pset = core.normalize(raw, signed=True)
+    tree = build_conserved_tree(pset)
+    expected = {iv for iv in oracle.all_b_nested(oracle.all_conserved(pset), b)
+                if iv.size() >= min_size}
+    got = list(enumerate_b_nested_conserved(tree, b, min_size))
+    assert len(got) == len(set(got))
+    assert set(got) == expected
 
 
 def test_dichotomy_over_all_conserved_intervals():

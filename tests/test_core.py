@@ -42,6 +42,20 @@ def test_interval_ordering_is_lexicographic():
     assert sorted(ivs) == [core.Interval(1, 4), core.Interval(1, 9), core.Interval(2, 3)]
 
 
+def test_interval_is_an_immutable_pair():
+    iv = core.Interval(2, 5)
+    assert iv == (2, 5) and hash(iv) == hash((2, 5))
+    assert (iv.lo, iv.hi) == tuple(iv)
+    assert {iv: 1}[(2, 5)] == 1
+    assert str(iv) == "(2..5)"
+    assert repr(iv) == "Interval(lo=2, hi=5)"
+    with pytest.raises(AttributeError):
+        iv.lo = 3
+    rng = random.Random(12)
+    pairs = [tuple(sorted((rng.randint(1, 9), rng.randint(1, 9)))) for _ in range(50)]
+    assert [tuple(iv) for iv in sorted(core.Interval(*p) for p in pairs)] == sorted(pairs)
+
+
 def test_normalize_first_becomes_identity():
     pset = core.normalize([[3, 1, 2], [2, 3, 1]])
     assert list(pset.perms[0].elements) == [1, 2, 3]
@@ -51,8 +65,8 @@ def test_normalize_first_becomes_identity():
 def test_normalize_relabel_round_trip():
     raw = [[3, 1, 4, 2, 5], [3, 4, 1, 2, 5]]
     pset = core.normalize(raw)
-    # renumbered label r came from original label original_label(r)
-    originals = [pset.original_label(r) for r in range(1, 6)]
+    # renumbered label r came from original label original_of[r]
+    originals = [pset.original_of[r] for r in range(1, 6)]
     assert sorted(originals) == [1, 2, 3, 4, 5]
     assert originals == [3, 1, 4, 2, 5]
 
@@ -153,12 +167,12 @@ def test_all_intervals_count():
 @given(st.integers(1, 30), st.integers(1, 4), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_positions_invert_elements(n, K, seed):
-    """position(elements[p]) == p (1-based) for every permutation after normalize."""
+    """positions[elements[p]] == p (1-based) for every permutation after normalize."""
     raw = random_unsigned_raw(random.Random(seed), n, K)
     pset = core.normalize(raw)
     for perm in pset.perms:
         for p, v in enumerate(perm.elements, start=1):
-            assert perm.position(v) == p
+            assert perm.positions[v] == p
 
 
 @given(st.integers(2, 20), st.integers(1, 4), st.integers(0, 2**32 - 1))

@@ -10,7 +10,6 @@ from bnest._kernels import canonical_generator, position_matrix
 from bnest.pqtree import (
     PQTree,
     build_pqtree,
-    strong_common_intervals,
     weak_intervals_of_qnode,
 )
 from conftest import GOLD_COMMON_RAW, canonical_bounds, ivset, random_unsigned_raw, singletons
@@ -49,13 +48,13 @@ def test_golden_tree_shape(gold_common_pset):
 
 
 def test_golden_strong_set(gold_common_pset):
-    assert set(strong_common_intervals(gold_common_pset)) == (
+    assert {nd.interval for nd in build_pqtree(gold_common_pset).nodes} == (
         ivset({(2, 3), (1, 4), (5, 6), (7, 9), (1, 9)}) | singletons(9))
 
 
 def test_two_permutation_strong_set():
     pset = core.normalize([[1, 2, 3], [3, 1, 2]])
-    assert set(strong_common_intervals(pset)) == (
+    assert {nd.interval for nd in build_pqtree(pset).nodes} == (
         ivset({(1, 2), (1, 3)}) | singletons(3))
 
 
