@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from itertools import islice
 
 from . import core, oracle
-from .common_enum import ScanStats, annotate, count_b_nested_common, enumerate_b_nested_common
+from .common_enum import ScanStats, count_b_nested_common, enumerate_b_nested_common
 from .conserved_enum import count_b_nested_conserved, enumerate_b_nested_conserved
-from .conserved_tree import build_conserved_tree, irreducible_conserved_intervals
+from .conserved_tree import build_conserved_tree
 from .pqtree import build_pqtree
 
 EXIT_OK = 0
@@ -70,19 +70,24 @@ def _load_pset(config: RunConfig) -> core.PermutationSet:
 
 
 def _emit_intervals(intervals, pset, config: RunConfig, out) -> int:
-    """Write "lo hi" lines in bounded chunks; returns how many."""
+    """Write a "lo hi" line per (lo, hi) pair from per-label "name " and
+    "name\\n" tables, joined in chunks of _WRITE_CHUNK lines; returns how many."""
     if config.sort:
         intervals = sorted(intervals)
     labels = pset.original_of if config.original_labels else range(pset.n + 1)
     names = list(map(str, labels))
+    left = [name + " " for name in names]
+    right = [name + "\n" for name in names]
     it = iter(intervals)
     count = 0
     while True:
-        lines = [f"{names[lo]} {names[hi]}\n" for lo, hi in islice(it, _WRITE_CHUNK)]
-        if not lines:
+        parts = []
+        for lo, hi in islice(it, _WRITE_CHUNK):
+            parts += left[lo], right[hi]
+        if not parts:
             return count
-        out.write("".join(lines))
-        count += len(lines)
+        out.write("".join(parts))
+        count += len(parts) // 2
 
 
 def _action_tree(config: RunConfig, out) -> int:
@@ -95,11 +100,9 @@ def _action_tree(config: RunConfig, out) -> int:
 def _action_enumerate(config: RunConfig, out) -> int:
     pset = _load_pset(config)
     if config.mode == "common":
-        tree = build_pqtree(pset)
-        intervals = enumerate_b_nested_common(tree, config.b, config.min_size)
+        intervals = enumerate_b_nested_common(build_pqtree(pset), config.b, config.min_size)
     else:
-        tree = build_conserved_tree(pset)
-        intervals = enumerate_b_nested_conserved(tree, config.b, config.min_size)
+        intervals = enumerate_b_nested_conserved(build_conserved_tree(pset), config.b, config.min_size)
     if config.count_only:
         out.write(f"{sum(1 for _ in intervals)}\n")
     else:
@@ -147,10 +150,10 @@ def _action_oracle_check(config: RunConfig, out) -> int:
     for name, got, want in problems:
         out.write(f"MISMATCH {name}: fast={len(got)} oracle={len(want)}\n")
         if config.diff and not (len(got) == 1 and isinstance(next(iter(got)), int)):
-            for iv in sorted(want - got):
-                out.write(f"  missing {iv}\n")
-            for iv in sorted(got - want):
-                out.write(f"  spurious {iv}\n")
+            for lo, hi in sorted(want - got):
+                out.write(f"  missing ({lo}..{hi})\n")
+            for lo, hi in sorted(got - want):
+                out.write(f"  spurious ({lo}..{hi})\n")
     return EXIT_MISMATCH
 
 
@@ -263,16 +266,13 @@ def _action_bench(config: RunConfig, out) -> int:
         pset = core.normalize(raw, signed=True if config.mode == "conserved" else None)
         t0 = time.perf_counter()
         if config.mode == "common":
-            tree = build_pqtree(pset)
+            tree, enum = build_pqtree(pset), enumerate_b_nested_common
         else:
             pset = core.validate_conserved_frame(pset, frame=True)
-            tree = build_conserved_tree(pset)
+            tree, enum = build_conserved_tree(pset), enumerate_b_nested_conserved
         t1 = time.perf_counter()
         stats = ScanStats()
-        if config.mode == "common":
-            nocc = sum(1 for _ in enumerate_b_nested_common(tree, config.b, config.min_size, stats=stats))
-        else:
-            nocc = sum(1 for _ in enumerate_b_nested_conserved(tree, config.b, config.min_size, stats=stats))
+        nocc = sum(1 for _ in enum(tree, config.b, config.min_size, stats=stats))
         t2 = time.perf_counter()
         out.write(f"{n},{config.K},{config.b},{nocc},"
                   f"{int((t1 - t0) * 1e6)},{int((t2 - t1) * 1e6)},{stats.iterations}\n")
@@ -382,9 +382,12 @@ def main(argv=None) -> int:
     if config.b < 1:
         print("error: --b must be >= 1", file=sys.stderr)
         return EXIT_VALIDATION
-    if config.action == "gen" and (config.n < 1 or config.K < 1):
-        print("error: --n and --k must be >= 1", file=sys.stderr)
-        return EXIT_VALIDATION
+    if config.action in ("gen", "bench"):
+        for flag, value, low in (("--n", config.n, 1), ("--k", config.K, 1),
+                                 ("--depth", config.depth, 1), ("--span", config.span, 2)):
+            if value < low:  # bench has no --n; its n keeps the default 1
+                print(f"error: {flag} must be >= {low}", file=sys.stderr)
+                return EXIT_VALIDATION
     return run(config)
 
 

@@ -15,7 +15,7 @@ Q-node: start at each child, extend right while the segment holds at most
 one b-large child and every included b-large child is b-nested.  With the
 next b-large child precomputed, each start jumps to its stop in O(1), a
 bisect on the right ends honours min_size, and the run of ends is emitted in
-bulk: one step per child plus one per output, linear overall.
+bulk as plain (lo, hi) tuples: one step per child plus one per output.
 
 Counting replaces the scan by two closed forms over the child sequence of
 each Q-node: a maximal run of h consecutive b-small children contributes
@@ -31,7 +31,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 
-from .core import Interval
 from .pqtree import PQNode, PQTree
 
 
@@ -92,14 +91,14 @@ def _scan_qnode(node, b, ann, min_size, out, stats):
         start = bisect_left(his, lo + min_size - 1, a + 1, stop)
         k = stop - start
         if k > 0:
-            out.extend(map(tuple.__new__, repeat(Interval, k), zip(repeat(lo, k), his[start:stop])))
+            out.extend(zip(repeat(lo, k), his[start:stop]))
             iters += k
     if stats is not None:
         stats.iterations += iters
 
 
 def enumerate_b_nested_common(tree: PQTree, b: int, min_size: int = 1, stats: ScanStats | None = None):
-    """Yield every b-nested common interval of size >= min_size exactly once.
+    """Yield each b-nested common interval of size >= min_size once, as (lo, hi).
 
     Order is deterministic: post-order over nodes; a leaf yields its
     singleton, a P-node its own interval when b-nested, and a Q-node the
@@ -113,10 +112,10 @@ def enumerate_b_nested_common(tree: PQTree, b: int, min_size: int = 1, stats: Sc
     for node in tree.nodes:
         if node.is_leaf:
             if min_size <= 1:
-                yield node.interval
+                yield tuple(node.interval)
         elif node.kind == "P":
             if ann[node].b_nested and node.size >= min_size:
-                yield node.interval
+                yield tuple(node.interval)
         else:
             out = []
             _scan_qnode(node, b, ann, min_size, out, stats)

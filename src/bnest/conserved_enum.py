@@ -13,8 +13,8 @@ sit in (their L_link), so one post-order pass annotates the whole tree.
 Enumeration scans each node's frontiers.  With the next gap step
 precomputed, each start jumps in O(1) to its last end (the frontier opening
 the first bad gap, or the next gap past one good gap), a bisect honours
-min_size, and the run of ends is emitted in bulk.  The full pair is left
-out of the scan; the node interval follows it when b-nested.
+min_size, and the run of ends is emitted in bulk as plain (lo, hi) tuples;
+the full pair is left out, and the node interval follows when b-nested.
 
 Counting uses per-node closed forms: a maximal run of h consecutive small
 steps holds h*(h+1)/2 pairs, and the pairs whose single gap is the good gap
@@ -28,7 +28,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 
-from .core import Interval
 from .conserved_tree import ConservedNode, ConservedTree
 from .common_enum import ScanStats
 
@@ -96,7 +95,7 @@ def weak_b_nested(node: ConservedNode, b: int, ann: GapAnnotation) -> dict:
 
 def enumerate_b_nested_conserved(tree: ConservedTree, b: int, min_size: int = 1,
                                  stats: ScanStats | None = None):
-    """Yield every b-nested conserved interval of size >= min_size once.
+    """Yield each b-nested conserved interval of size >= min_size once, as (lo, hi).
 
     Order: singletons first when min_size is 1, then post-order over nodes,
     per node the admissible frontier pairs in lexicographic index order with
@@ -106,8 +105,8 @@ def enumerate_b_nested_conserved(tree: ConservedTree, b: int, min_size: int = 1,
         raise ValueError(f"min_size must be >= 1, got {min_size}")
     ann = annotate_conserved(tree, b)
     if min_size <= 1:
-        for v in range(1, tree.n + 1):
-            yield Interval(v, v)
+        units = range(1, tree.n + 1)
+        yield from zip(units, units)
     node_min = max(2, min_size)
     iters = 0
     for node in tree.nodes:
@@ -128,9 +127,9 @@ def enumerate_b_nested_conserved(tree: ConservedTree, b: int, min_size: int = 1,
             k = last + 1 - start
             if k > 0:
                 iters += k
-                yield from map(tuple.__new__, repeat(Interval, k), zip(repeat(lo, k), f[start:last + 1]))
+                yield from zip(repeat(lo, k), f[start:last + 1])
         if ann[node].node_b_nested and node.size >= node_min:
-            yield node.interval
+            yield tuple(node.interval)
     if stats is not None:
         stats.iterations += iters
 

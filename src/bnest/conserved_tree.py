@@ -42,7 +42,6 @@ class ConservedNode:
     interval: Interval
     frontiers: tuple  # ascending, frontiers[0] = lo, frontiers[-1] = hi
     children: list = field(default_factory=list)
-    parent: "ConservedNode | None" = field(default=None, repr=False)
     L_link: "tuple | None" = None  # successive parent frontiers around self
     parent_step: "int | None" = field(default=None, repr=False)
     size: int = field(init=False, repr=False)
@@ -172,7 +171,6 @@ def build_conserved_tree(pset: PermutationSet) -> ConservedTree:
         node = ConservedNode(Interval(i + 1, j + 1), tuple(x + 1 for x in fr))
         step = 0
         for c in kids:
-            c.parent = node
             while step + 1 < len(fr) - 1 and fr[step + 1] <= c.interval.lo - 1:
                 step += 1
             f_lo, f_hi = fr[step], fr[step + 1]
@@ -192,15 +190,14 @@ def build_conserved_tree(pset: PermutationSet) -> ConservedTree:
     return ConservedTree(done[0][1], nodes, R, L, pset)
 
 
-def irreducible_conserved_intervals(pset: PermutationSet) -> list:
-    """All irreducible conserved intervals of size >= 2, sorted by (lo, hi).
+def irreducible_conserved_intervals(tree: ConservedTree) -> list:
+    """The tree's irreducible conserved intervals of size >= 2, sorted.
 
     Irreducible: not the union of two overlapping smaller conserved
     intervals.  These are exactly the frontier steps of the tree nodes; an
     interior split point m of a step could otherwise be chained into both
     ends and would enlarge the maximal frontier set.
     """
-    tree = build_conserved_tree(pset)
     out = []
     for node in tree.nodes:
         if node.size >= 2:

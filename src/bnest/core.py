@@ -60,10 +60,9 @@ class BadFrame(PermutationError):
 
 
 class Interval(tuple):
-    """Closed integer range (lo..hi), 1-based, lo <= hi.
-
-    An immutable (lo, hi) tuple that compares, sorts and hashes as one.  Bulk
-    producers that know lo <= hi call `tuple.__new__(Interval, (lo, hi))`.
+    """Closed integer range (lo..hi), 1-based, lo <= hi: the value type of
+    the trees and the oracle.  An immutable (lo, hi) tuple that compares,
+    sorts and hashes as one; the enumerators yield plain pairs instead.
     """
 
     __slots__ = ()
@@ -290,37 +289,36 @@ def _to_original(pset: PermutationSet, signed_renumbered: Iterable[int]) -> list
 
 
 def is_common_interval(pset: PermutationSet, iv: Interval) -> bool:
-    """True when the labels {lo..hi} sit in consecutive positions everywhere.
-
-    Positional test per permutation: max position - min position + 1 == size.
+    """True when the labels of (lo, hi), an Interval or a plain pair, sit in
+    consecutive positions everywhere: max position - min position == hi - lo.
     """
-    if iv.lo < 1 or iv.hi > pset.n:
-        raise ValueError("interval %s out of range 1..%d" % (iv, pset.n))
-    size = iv.size()
+    lo, hi = iv
+    if not 1 <= lo <= hi <= pset.n:
+        raise ValueError("interval (%d..%d) empty or out of range 1..%d" % (lo, hi, pset.n))
     for perm in pset.perms:
         positions = perm.positions
-        pmin = pmax = positions[iv.lo]
-        for v in range(iv.lo + 1, iv.hi + 1):
+        pmin = pmax = positions[lo]
+        for v in range(lo + 1, hi + 1):
             p = positions[v]
             if p < pmin:
                 pmin = p
             elif p > pmax:
                 pmax = p
-        if pmax - pmin + 1 != size:
+        if pmax - pmin != hi - lo:
             return False
     return True
 
 
 def is_conserved_interval(pset: PermutationSet, iv: Interval) -> bool:
-    """True when (lo..hi) is a unit interval or a common interval delimited,
+    """True when (lo, hi) is a unit interval or a common interval delimited,
     in every permutation, by +lo ... +hi or by -hi ... -lo."""
-    if iv.lo == iv.hi:
+    a, c = iv
+    if a == c:
         return True
     if not pset.signed:
         raise PermutationError("conserved intervals need a signed permutation set")
     if not is_common_interval(pset, iv):
         return False
-    a, c = iv.lo, iv.hi
     for perm in pset.perms:
         positions = perm.positions
         pmin = pmax = positions[a]

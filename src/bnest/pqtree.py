@@ -40,7 +40,6 @@ class PQNode:
     interval: Interval
     kind: str  # 'P', 'Q' or 'LEAF'
     children: list = field(default_factory=list)
-    parent: "PQNode | None" = field(default=None, repr=False)
     size: int = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -54,7 +53,9 @@ class PQNode:
 class StrongTree:
     """Tree of strong intervals, nodes in post-order, plus the generator
     (R, L) it came from.  Subclasses give each node's text line and JSON
-    fields; every traversal is iterative, so depth is bounded only by n."""
+    fields; every traversal is iterative, so depth is bounded only by n.
+    Nodes keep no parent pointer: a dropped tree holds no reference cycle,
+    so reference counting frees it without waiting for a full GC pass."""
 
     def __init__(self, root, nodes: list, R: list, L: list, pset: PermutationSet):
         self.root = root
@@ -210,8 +211,6 @@ def build_pqtree(pset: PermutationSet) -> PQTree:
             kids.reverse()
             kind = "Q" if mem(kids[0].interval.lo - 1, kids[1].interval.hi - 1) else "P"
             node = PQNode(Interval(i + 1, j + 1), kind, kids)
-            for c in kids:
-                c.parent = node
         nodes.append(node)
         done.append((i, node))
     assert len(done) == 1, "strong intervals did not close into one tree"

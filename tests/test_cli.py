@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -195,6 +196,33 @@ def test_oracle_check_reports_mismatch(capsys, gold_common_file, monkeypatch):
     code, out = _run(capsys, ["oracle-check", "--b", "1", "--diff",
                               gold_common_file])
     assert code == 2 and "MISMATCH" in out
+
+
+def test_oracle_check_diff_prints_ranges(capsys, gold_common_file, monkeypatch):
+    """--diff lists intervals as (lo..hi) whether they came from the
+    enumerator (plain pairs) or from the oracle (Intervals)."""
+    def shifted(family, b):
+        return {core.Interval(1, 2)}
+    monkeypatch.setattr(oracle, "all_b_nested", shifted)
+    code, out = _run(capsys, ["oracle-check", "--b", "1", "--diff", gold_common_file])
+    assert code == 2
+    listed = [line for line in out.splitlines() if line.startswith("  ")]
+    assert "  missing (1..2)" in listed and "  spurious (2..3)" in listed
+    assert all(re.fullmatch(r"  (missing|spurious) \(\d+\.\.\d+\)", line) for line in listed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "5", "--k", "2", "--model", "planted-nested", "--depth", "0"],
+    ["gen", "--n", "5", "--k", "2", "--model", "planted-nested", "--depth", "-3"],
+    ["gen", "--n", "5", "--k", "2", "--model", "planted-nested", "--span", "-4"],
+    ["bench", "--sizes", "10", "--depth", "0"],
+    ["bench", "--sizes", "10", "--k", "0"],
+])
+def test_bad_generator_flags_exit_validation(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 def test_gen_deterministic(capsys):

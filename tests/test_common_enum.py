@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnest import core, oracle
+from bnest import cli, core, oracle
 from bnest.common_enum import (
     ScanStats,
     annotate,
@@ -110,7 +110,7 @@ def test_nested_chain_exists():
         pset = core.normalize(random_unsigned_raw(rng, n, rng.randint(1, 4)))
         tree = build_pqtree(pset)
         for b in (1, 2):
-            got = set(enumerate_b_nested_common(tree, b, 1))
+            got = {core.Interval(*p) for p in enumerate_b_nested_common(tree, b, 1)}
             for iv in got:
                 if iv.size() == 1:
                     continue
@@ -178,3 +178,48 @@ def test_monotone_in_b(gold_tree):
         cur = set(enumerate_b_nested_common(gold_tree, b, 1))
         assert prev <= cur
         prev = cur
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+@pytest.mark.parametrize("min_size", [1, 2])
+def test_outputs_are_plain_pairs(b, min_size):
+    """Leaves, P-node intervals and Q-scan runs all come out as exact
+    (lo, hi) tuples."""
+    rng = random.Random(77)
+    seen = set()  # node kinds whose interval was yielded
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        tree = build_pqtree(core.normalize(random_unsigned_raw(rng, n, rng.randint(1, 4))))
+        got = list(enumerate_b_nested_common(tree, b, min_size))
+        assert all(type(x) is tuple and len(x) == 2 for x in got)
+        got = set(got)
+        seen.update(nd.kind for nd in tree.nodes if nd.interval in got)
+    assert ("LEAF" in seen) == (min_size == 1) and "Q" in seen
+    assert "P" in seen or b == 1  # a P-node has >= 3 children, so needs b >= 2
+
+
+def _reversed_blocks_raw(rng: random.Random, n: int) -> list:
+    """Identity and the identity with consecutive blocks of 1-3 reversed:
+    a root Q-node over about n/2 children, dense in common intervals."""
+    second = []
+    while len(second) < n:
+        s = min(rng.randint(1, 3), n - len(second))
+        second.extend(range(len(second) + s, len(second), -1))
+    return [list(range(1, n + 1)), second]
+
+
+@pytest.mark.parametrize("shape", ["reversed-blocks-1200", "planted-1e4"])
+def test_count_matches_enumerate_at_gate_scale(shape):
+    """count equals the number enumerated and grows with b, at the sizes
+    the benchmark and the scaling gate run."""
+    if shape == "planted-1e4":
+        raw = cli._planted_raw(10**4, 4, 6, 8, random.Random(20_000))
+    else:
+        raw = _reversed_blocks_raw(random.Random(12), 1200)
+    tree = build_pqtree(core.normalize(raw))
+    prev = 0
+    for b in (1, 2, 5, tree.n):
+        counted = count_b_nested_common(tree, b, 2)
+        assert counted == len(list(enumerate_b_nested_common(tree, b, 2)))
+        assert counted >= prev
+        prev = counted

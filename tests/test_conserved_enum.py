@@ -152,3 +152,48 @@ def test_dichotomy_over_all_conserved_intervals():
                 for (i, j), ok in verdicts.items():
                     iv = core.Interval(nd.frontiers[i], nd.frontiers[j])
                     assert ok == (iv in expected), (iv, b)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+@pytest.mark.parametrize("min_size", [1, 2])
+def test_outputs_are_plain_pairs(b, min_size):
+    """Unit intervals, frontier pairs and node intervals all come out as
+    exact (lo, hi) tuples."""
+    rng = random.Random(78)
+    units = pairs = nodes = 0
+    for _ in range(60):
+        n = rng.randint(2, 10)
+        pset = core.normalize(random_framed_raw(rng, n, rng.randint(1, 4)), signed=True)
+        tree = build_conserved_tree(pset)
+        got = list(enumerate_b_nested_conserved(tree, b, min_size))
+        assert all(type(x) is tuple and len(x) == 2 for x in got)
+        node_ivs = {nd.interval for nd in tree.nodes}
+        for lo, hi in got:
+            if (lo, hi) in node_ivs:
+                nodes += 1
+            elif lo == hi:
+                units += 1
+            else:
+                pairs += 1
+    assert (units > 0) == (min_size == 1) and nodes > 0 and pairs > 0
+
+
+def test_count_matches_enumerate_at_gate_scale():
+    """count equals the number enumerated and grows with b on a framed
+    n = 1500 instance of short signed inversions."""
+    rng = random.Random(31)
+    raw = [list(range(1, 1501))]
+    for _ in range(2):
+        row = list(range(1, 1501))
+        for _ in range(110):
+            length = rng.randint(1, 6)
+            a = rng.randint(1, 1499 - length)
+            row[a:a + length] = [-v for v in reversed(row[a:a + length])]
+        raw.append(row)
+    tree = build_conserved_tree(core.normalize(raw, signed=True))
+    prev = 0
+    for b in (1, 2, 5, tree.n):
+        counted = count_b_nested_conserved(tree, b, 2)
+        assert counted == len(list(enumerate_b_nested_conserved(tree, b, 2)))
+        assert counted >= prev
+        prev = counted

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnest import core
+from bnest import build_pqtree, core, enumerate_b_nested_common
 from conftest import (
     GOLD_COMMON_RAW,
     GOLD_COMMON_WIDE,
@@ -115,6 +115,24 @@ def test_is_conserved_interval_golden():
             iv = core.Interval(lo, hi)
             expect = lo == hi or iv in wide
             assert core.is_conserved_interval(pset, iv) == expect
+
+
+def test_membership_accepts_plain_pairs():
+    """Enumerated (lo, hi) pairs can be passed back into the membership
+    tests, with the same verdict as the Interval."""
+    for raw, test, signed in ((GOLD_COMMON_RAW, core.is_common_interval, None),
+                              (GOLD_CONSERVED_RAW, core.is_conserved_interval, True)):
+        pset = core.normalize(raw, signed=signed)
+        for lo in range(1, 10):
+            for hi in range(lo, 10):
+                assert test(pset, (lo, hi)) == test(pset, core.Interval(lo, hi))
+    pset = core.normalize(GOLD_COMMON_RAW)
+    pairs = list(enumerate_b_nested_common(build_pqtree(pset), 5, 1))
+    assert pairs and all(core.is_common_interval(pset, p) for p in pairs)
+    with pytest.raises(ValueError):
+        core.is_common_interval(pset, (5, 3))
+    with pytest.raises(ValueError):
+        core.is_common_interval(pset, (0, 10))
 
 
 def test_conserved_requires_signs():

@@ -113,7 +113,7 @@ def _assert_tree_invariants(pset, tree: PQTree, fam: set):
         assert len(nd.children) >= 2
         pos = nd.interval.lo
         for c in nd.children:
-            assert c.interval.lo == pos and c.parent is nd
+            assert c.interval.lo == pos
             pos = c.interval.hi + 1
         assert pos == nd.interval.hi + 1
     # every family member is a node or a run of successive Q children,
