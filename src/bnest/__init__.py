@@ -25,9 +25,8 @@ from .core import (
     parse_permutations,
     validate_conserved_frame,
 )
-from .pqtree import PQNode, PQTree, build_pqtree, weak_intervals_of_qnode
+from .pqtree import PQNode, PQTree, build_pqtree
 from .common_enum import (
-    NodeAnnotation,
     ScanStats,
     annotate,
     count_b_nested_common,
@@ -39,14 +38,11 @@ from .conserved_tree import (
     InternalStructureError,
     build_conserved_tree,
     irreducible_conserved_intervals,
-    weak_conserved_intervals,
 )
 from .conserved_enum import (
-    GapAnnotation,
     annotate_conserved,
     count_b_nested_conserved,
     enumerate_b_nested_conserved,
-    weak_b_nested,
 )
 
 __version__ = "0.1.0"
@@ -56,11 +52,9 @@ __all__ = [
     "ConservedNode",
     "ConservedTree",
     "DuplicateElement",
-    "GapAnnotation",
     "InternalStructureError",
     "Interval",
     "LengthMismatch",
-    "NodeAnnotation",
     "NotAPermutation",
     "PQNode",
     "PQTree",
@@ -85,7 +79,4 @@ __all__ = [
     "normalize",
     "parse_permutations",
     "validate_conserved_frame",
-    "weak_b_nested",
-    "weak_conserved_intervals",
-    "weak_intervals_of_qnode",
 ]

@@ -341,8 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, dest="K")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", choices=("uniform", "planted-nested"), default="uniform")
-    p.add_argument("--depth", type=int, default=2, help="planted nesting levels")
-    p.add_argument("--span", type=int, default=3, help="outermost planted block size")
+    p.add_argument("--depth", type=int, default=2,
+                   help="planted nesting levels; each is the next one plus one element, so "
+                        "adjacent levels can merge into one Q-node, and deep chains over few "
+                        "permutations may fail to plant (exit 1), e.g. --n 300 --depth 20 --k 2")
+    p.add_argument("--span", type=int, default=3,
+                   help="outermost planted block size; levels shrink by one element each")
     p.add_argument("--signed", action="store_true",
                    help="uniform model: framed signed permutations")
 

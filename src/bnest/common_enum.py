@@ -1,15 +1,23 @@
 """Enumerate and count b-nested common intervals from a PQ-tree.
 
 An interval is b-nested when it is a singleton or strictly contains another
-b-nested interval of the family losing at most b elements.  On the PQ-tree
-the verdict localizes per node, children first:
+b-nested interval of the family losing at most b elements.  The family only
+grows with b, so every tree node has a threshold bstar, the least b at which
+its interval is b-nested.  One post-order pass (annotate) computes them all,
+children first:
 
-  leaf    always b-nested,
-  P-node  b-nested iff some child is b-nested with size >= node size - b,
-  Q-node  b-nested iff at most one child is b-large (size > b) and any
-          such child is itself b-nested.
+  leaf    bstar = 1,
+  P-node  bstar = max(1, min over children c of max(bstar(c), size - size(c))),
+          since it is b-nested iff some b-nested child has size >= size - b,
+  Q-node  bstar = max(s2, min(s1, bstar(c1))), with s1 >= s2 the two largest
+          child sizes and c1 a largest child, since it is b-nested iff at
+          most one child is b-large (size > b) and any such child is itself
+          b-nested.
 
-Weak intervals (unions of >= 2 consecutive Q-children) follow the same rule
+The pass runs once per tree; the readers below test b >= bstar, so a sweep
+over many b costs one pass plus one scan or count per b.
+
+Weak intervals (unions of >= 2 consecutive Q-children) follow the Q rule
 restricted to their child segment, which gives a left-to-right scan per
 Q-node: start at each child, extend right while the segment holds at most
 one b-large child and every included b-large child is b-nested.  With the
@@ -34,13 +42,6 @@ from itertools import repeat
 from .pqtree import PQNode, PQTree
 
 
-@dataclass(eq=False)
-class NodeAnnotation:
-    node: PQNode
-    size: int
-    b_nested: bool
-
-
 @dataclass
 class ScanStats:
     """Work counter of the enumeration scans, for output-sensitivity checks:
@@ -50,25 +51,38 @@ class ScanStats:
     iterations: int = 0
 
 
-def annotate(tree: PQTree, b: int) -> dict:
-    """Per-node b-nested verdicts, bottom-up.  Keyed by node identity."""
+def _check_b(b: int) -> None:
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
-    ann = {}
+
+
+def annotate(tree: PQTree) -> None:
+    """Set node.bstar on every node, children first.  Runs once per tree;
+    later calls return at once (trees are never changed after build)."""
+    if tree.annotated:
+        return
     for node in tree.nodes:  # post-order: children first
-        if node.is_leaf:
-            nested = True
+        kids = node.children
+        if not kids:
+            node.bstar = 1
         elif node.kind == "P":
-            need = node.size - b
-            nested = any(ann[c].b_nested and c.size >= need for c in node.children)
+            # Every term is >= bstar(c) >= 1, so no clamp to 1 is needed.
+            size = node.size
+            node.bstar = min(max(c.bstar, size - c.size) for c in kids)
         else:
-            larges = [c for c in node.children if c.size > b]
-            nested = len(larges) <= 1 and all(ann[c].b_nested for c in larges)
-        ann[node] = NodeAnnotation(node, node.size, nested)
-    return ann
+            s1 = s2 = 0
+            c1 = None
+            for c in kids:
+                z = c.size
+                if z > s1:
+                    s1, s2, c1 = z, s1, c
+                elif z > s2:
+                    s2 = z
+            node.bstar = max(s2, min(s1, c1.bstar))
+    tree.annotated = True
 
 
-def _scan_qnode(node, b, ann, min_size, out, stats):
+def _scan_qnode(node, b, min_size, out, stats):
     kids = node.children
     m = len(kids)
     his = [c.interval[1] for c in kids]
@@ -80,10 +94,10 @@ def _scan_qnode(node, b, ann, min_size, out, stats):
         kid = kids[a]
         d = next_large[a + 1]
         if kid.size > b:
-            if not ann[kid].b_nested:
+            if b < kid.bstar:
                 continue
             stop = d
-        elif d < m and ann[kids[d]].b_nested:
+        elif d < m and b >= kids[d].bstar:
             stop = next_large[d + 1]
         else:
             stop = d
@@ -106,49 +120,44 @@ def enumerate_b_nested_common(tree: PQTree, b: int, min_size: int = 1, stats: Sc
     child segment of a Q-node appears in its scan exactly when the node is
     b-nested, so node intervals are never emitted twice.
     """
-    ann = annotate(tree, b)
+    _check_b(b)
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
+    annotate(tree)
     for node in tree.nodes:
         if node.is_leaf:
             if min_size <= 1:
                 yield tuple(node.interval)
         elif node.kind == "P":
-            if ann[node].b_nested and node.size >= min_size:
+            if b >= node.bstar and node.size >= min_size:
                 yield tuple(node.interval)
         else:
             out = []
-            _scan_qnode(node, b, ann, min_size, out, stats)
+            _scan_qnode(node, b, min_size, out, stats)
             yield from out
 
 
-def qnode_count_parts(node: PQNode, b: int, ann: dict) -> tuple:
-    """Closed-form count pieces for one Q-node.
+def qnode_count_parts(node: PQNode, b: int) -> tuple:
+    """Closed-form count pieces for one Q-node of an annotated tree.
 
     Returns (large_terms, run_terms): one l*(r+1)+r term per b-large
     b-nested child, one h*(h-1)/2 term per maximal run of h consecutive
     b-small children.  Their sum equals the node's scan output with
     min_size <= 2.
     """
-    kids = node.children
-    m = len(kids)
-    small = [c.size <= b for c in kids]
-    run_len = [0] * (m + 1)  # run_len[t] = length of small run ending at t-1
-    for t in range(m):
-        run_len[t + 1] = run_len[t] + 1 if small[t] else 0
-    suffix = [0] * (m + 1)  # smalls starting at t
-    for t in range(m - 1, -1, -1):
-        suffix[t] = suffix[t + 1] + 1 if small[t] else 0
-    large_terms = []
-    run_terms = []
-    for t in range(m):
-        if not small[t]:
-            if ann[kids[t]].b_nested:
-                l, r = run_len[t], suffix[t + 1]
-                large_terms.append(l * (r + 1) + r)
-        elif t + 1 == m or not small[t + 1]:
-            h = run_len[t + 1]
-            run_terms.append(h * (h - 1) // 2)
+    runs = []  # b-small run lengths: one before each b-large child, one last
+    nested = []  # per b-large child: is it b-nested
+    h = 0
+    for c in node.children:
+        if c.size <= b:
+            h += 1
+        else:
+            runs.append(h)
+            nested.append(b >= c.bstar)
+            h = 0
+    runs.append(h)
+    large_terms = [runs[g] * (runs[g + 1] + 1) + runs[g + 1] for g, ok in enumerate(nested) if ok]
+    run_terms = [h * (h - 1) // 2 for h in runs if h]
     return large_terms, run_terms
 
 
@@ -159,18 +168,18 @@ def count_b_nested_common(tree: PQTree, b: int, min_size: int = 1) -> int:
     differ only by the n singletons); larger thresholds would need the
     enumeration path.
     """
+    _check_b(b)
     if min_size not in (1, 2):
         raise ValueError(f"count supports min_size 1 or 2, got {min_size}")
-    ann = annotate(tree, b)
+    annotate(tree)
     total = tree.n if min_size == 1 else 0
     for node in tree.nodes:
         if node.is_leaf:
             continue
         if node.kind == "P":
-            if ann[node].b_nested:
+            if b >= node.bstar:
                 total += 1
         else:
-            large_terms, run_terms = qnode_count_parts(node, b, ann)
+            large_terms, run_terms = qnode_count_parts(node, b)
             total += sum(large_terms) + sum(run_terms)
     return total
-

@@ -3,12 +3,25 @@
 Every conserved interval of size >= 2 is a frontier pair (f_i..f_j) of
 exactly one strong node (the node interval itself being the full pair), so
 verdicts localize to the frontier steps of each node.  A step (f_l..f_{l+1})
-of size > b+1 is a gap; a gap is good when some b-nested strong child lying
-in that step has size >= step size - b.  A frontier pair is b-nested exactly
-when the steps it spans contain no bad gap and at most one gap, that one
-good; in particular a node's own interval is b-nested iff it has no gap or
-exactly one, good.  Children report their verdicts to the parent step they
-sit in (their L_link), so one post-order pass annotates the whole tree.
+of size z > b+1 is a gap; a gap is good when some b-nested strong child lying
+in that step has size >= z - b, and bad otherwise.  A frontier pair is
+b-nested exactly when the steps it spans contain no bad gap and at most one
+gap, that one good; in particular a node's own interval is b-nested iff it
+has no gap or exactly one, good.
+
+All of these verdicts only improve as b grows, so each is a threshold,
+computed once per tree by one post-order pass (annotate_conserved).
+Children sit in one parent step each (their parent_step), and step t of
+size z_t is plain or a good gap iff b >= tau_t, where
+
+  tau_t = min(z_t - 1, min over children c in step t of
+                       max(bstar(c), z_t - size(c))),
+  bstar = max(1, max_t tau_t, second-largest z_t - 1),
+
+the second-largest term saying that at most one step may be a gap.  A step
+is plain iff b >= z_t - 1, a good gap iff z_t - 1 > b >= tau_t, and a bad
+gap otherwise, so a sweep over many b costs one pass plus one scan or count
+per b.
 
 Enumeration scans each node's frontiers.  With the next gap step
 precomputed, each start jumps in O(1) to its last end (the frontier opening
@@ -25,72 +38,38 @@ so the totals match enumeration with no separate node term.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import repeat
 
 from .conserved_tree import ConservedNode, ConservedTree
-from .common_enum import ScanStats
-
-STEP_PLAIN = "none"
-STEP_GAP = "gap"
-STEP_GOOD = "good_gap"
+from .common_enum import ScanStats, _check_b
 
 
-@dataclass(eq=False)
-class GapAnnotation:
-    node: ConservedNode
-    gap_at: list  # per frontier step: STEP_PLAIN, STEP_GAP or STEP_GOOD
-    node_b_nested: bool
-
-
-def annotate_conserved(tree: ConservedTree, b: int) -> dict:
-    """Per-node gap classification and b-nested verdict, bottom-up."""
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
-    ann = {}
+def annotate_conserved(tree: ConservedTree) -> None:
+    """Set node.tau and node.bstar on every node, children first.  Runs
+    once per tree; later calls return at once (trees are never changed
+    after build)."""
+    if tree.annotated:
+        return
     for node in tree.nodes:  # post-order: children first
         f = node.frontiers
-        best = [0] * max(len(f) - 1, 1)  # largest b-nested child per step
+        tau = [f[t + 1] - f[t] for t in range(len(f) - 1)]  # z_t - 1 to start
+        w1 = w2 = 1  # the two largest z_t - 1, floored at 1
+        for w in tau:
+            if w > w2:
+                if w > w1:
+                    w1, w2 = w, w1
+                else:
+                    w2 = w
         for c in node.children:
-            if ann[c].node_b_nested and c.size > best[c.parent_step]:
-                best[c.parent_step] = c.size
-        gap_at = []
-        gaps = goods = 0
-        for t in range(len(f) - 1):
-            size = f[t + 1] - f[t] + 1
-            if size <= b + 1:
-                gap_at.append(STEP_PLAIN)
-            elif best[t] >= size - b:
-                gap_at.append(STEP_GOOD)
-                gaps += 1
-                goods += 1
-            else:
-                gap_at.append(STEP_GAP)
-                gaps += 1
-        nested = gaps == 0 or (gaps == 1 and goods == 1)
-        ann[node] = GapAnnotation(node, gap_at, nested)
-    return ann
-
-
-def weak_b_nested(node: ConservedNode, b: int, ann: GapAnnotation) -> dict:
-    """Verdict for every frontier pair of the node, keyed by index pair.
-
-    (f_i..f_j) is b-nested iff steps i..j-1 hold no bad gap and at most one
-    gap.  Includes the full pair (0, |F|-1), whose verdict equals
-    node_b_nested.
-    """
-    gap_at = ann.gap_at
-    m = len(node.frontiers)
-    bad = [0] * m  # prefix counts over steps
-    good = [0] * m
-    for t in range(m - 1):
-        bad[t + 1] = bad[t] + (gap_at[t] == STEP_GAP)
-        good[t + 1] = good[t] + (gap_at[t] == STEP_GOOD)
-    out = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            out[(i, j)] = bad[j] == bad[i] and good[j] - good[i] <= 1
-    return out
+            t = c.parent_step
+            good = f[t + 1] - f[t] + 1 - c.size
+            if c.bstar > good:
+                good = c.bstar
+            if good < tau[t]:
+                tau[t] = good
+        node.tau = tau
+        node.bstar = max(w2, max(tau)) if tau else 1
+    tree.annotated = True
 
 
 def enumerate_b_nested_conserved(tree: ConservedTree, b: int, min_size: int = 1,
@@ -101,9 +80,10 @@ def enumerate_b_nested_conserved(tree: ConservedTree, b: int, min_size: int = 1,
     per node the admissible frontier pairs in lexicographic index order with
     the full pair excluded, then the node interval itself when b-nested.
     """
+    _check_b(b)
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
-    ann = annotate_conserved(tree, b)
+    annotate_conserved(tree)
     if min_size <= 1:
         units = range(1, tree.n + 1)
         yield from zip(units, units)
@@ -112,14 +92,17 @@ def enumerate_b_nested_conserved(tree: ConservedTree, b: int, min_size: int = 1,
     for node in tree.nodes:
         f = node.frontiers
         s = len(f) - 1  # number of steps
-        gap_at = ann[node].gap_at
+        tau = node.tau
         next_gap = [s] * (s + 1)  # least step index >= t that is a gap, else s
+        gap = s
         for t in range(s - 1, -1, -1):
-            next_gap[t] = next_gap[t + 1] if gap_at[t] == STEP_PLAIN else t
+            if f[t + 1] - f[t] > b:
+                gap = t
+            next_gap[t] = gap
         iters += s
         for i in range(s):
             p = next_gap[i]
-            last = next_gap[p + 1] if p < s and gap_at[p] == STEP_GOOD else p
+            last = next_gap[p + 1] if p < s and b >= tau[p] else p
             if i == 0 and last == s:
                 last -= 1  # the full pair is the node interval, emitted below
             lo = f[i]
@@ -128,35 +111,34 @@ def enumerate_b_nested_conserved(tree: ConservedTree, b: int, min_size: int = 1,
             if k > 0:
                 iters += k
                 yield from zip(repeat(lo, k), f[start:last + 1])
-        if ann[node].node_b_nested and node.size >= node_min:
+        if b >= node.bstar and node.size >= node_min:
             yield tuple(node.interval)
     if stats is not None:
         stats.iterations += iters
 
 
-def node_count_parts(node: ConservedNode, ann: GapAnnotation) -> tuple:
-    """Closed-form count pieces for one node's frontier pairs.
+def node_count_parts(node: ConservedNode, b: int) -> tuple:
+    """Closed-form count pieces for one node of an annotated tree.
 
     Returns (gap_terms, run_terms): (l+1)*(r+1) per good gap, h*(h+1)/2 per
     maximal run of h small steps.  Together they count every admissible
     pair, the full one included, so the node interval needs no extra term.
     """
-    gap_at = ann.gap_at
-    s = len(node.frontiers) - 1  # number of steps
-    run_len = [0] * (s + 1)
-    for t in range(s):
-        run_len[t + 1] = run_len[t] + 1 if gap_at[t] == STEP_PLAIN else 0
-    suffix = [0] * (s + 1)
-    for t in range(s - 1, -1, -1):
-        suffix[t] = suffix[t + 1] + 1 if gap_at[t] == STEP_PLAIN else 0
-    gap_terms = []
-    run_terms = []
-    for t in range(s):
-        if gap_at[t] == STEP_GOOD:
-            gap_terms.append((run_len[t] + 1) * (suffix[t + 1] + 1))
-        elif gap_at[t] == STEP_PLAIN and (t + 1 == s or gap_at[t + 1] != STEP_PLAIN):
-            h = run_len[t + 1]
-            run_terms.append(h * (h + 1) // 2)
+    f = node.frontiers
+    tau = node.tau
+    runs = []  # small-step run lengths: one before each gap, one last
+    good = []  # per gap: is it good
+    h = 0
+    for t in range(len(f) - 1):
+        if f[t + 1] - f[t] <= b:
+            h += 1
+        else:
+            runs.append(h)
+            good.append(b >= tau[t])
+            h = 0
+    runs.append(h)
+    gap_terms = [(runs[g] + 1) * (runs[g + 1] + 1) for g, ok in enumerate(good) if ok]
+    run_terms = [h * (h + 1) // 2 for h in runs if h]
     return gap_terms, run_terms
 
 
@@ -166,11 +148,12 @@ def count_b_nested_conserved(tree: ConservedTree, b: int, min_size: int = 1) -> 
     Supports min_size 1 and 2 (frontier pairs always have size >= 2, so the
     two differ only by the n singletons).
     """
+    _check_b(b)
     if min_size not in (1, 2):
         raise ValueError(f"count supports min_size 1 or 2, got {min_size}")
-    ann = annotate_conserved(tree, b)
+    annotate_conserved(tree)
     total = tree.n if min_size == 1 else 0
     for node in tree.nodes:
-        gap_terms, run_terms = node_count_parts(node, ann[node])
+        gap_terms, run_terms = node_count_parts(node, b)
         total += sum(gap_terms) + sum(run_terms)
     return total

@@ -45,9 +45,14 @@ class ConservedNode:
     L_link: "tuple | None" = None  # successive parent frontiers around self
     parent_step: "int | None" = field(default=None, repr=False)
     size: int = field(init=False, repr=False)
+    # Set by conserved_enum.annotate_conserved: the least b making the node
+    # b-nested, and per frontier step the least b making that step plain or
+    # a good gap.
+    bstar: int = field(init=False, repr=False)
+    tau: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.size = self.interval.size()  # read per child by every annotate pass
+        self.size = self.interval.size()  # read per child by annotate_conserved
 
     def steps(self):
         """Successive frontier pairs; these are the irreducible intervals."""
@@ -204,18 +209,3 @@ def irreducible_conserved_intervals(tree: ConservedTree) -> list:
             out.extend(node.steps())
     out.sort()
     return out
-
-
-def weak_conserved_intervals(node: ConservedNode):
-    """Frontier pairs (f_i..f_j), i < j, excluding the node interval itself.
-
-    Across all nodes of a tree this yields every weak conserved interval of
-    size >= 2 exactly once.
-    """
-    f = node.frontiers
-    m = len(f)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if i == 0 and j == m - 1:
-                continue
-            yield Interval(f[i], f[j])

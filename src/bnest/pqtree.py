@@ -41,9 +41,10 @@ class PQNode:
     kind: str  # 'P', 'Q' or 'LEAF'
     children: list = field(default_factory=list)
     size: int = field(init=False, repr=False)
+    bstar: int = field(init=False, repr=False)  # least b making it b-nested; see annotate
 
     def __post_init__(self):
-        self.size = self.interval.size()  # read per child by every annotate pass
+        self.size = self.interval.size()  # read per child by the scans and counts
 
     @property
     def is_leaf(self) -> bool:
@@ -55,7 +56,8 @@ class StrongTree:
     (R, L) it came from.  Subclasses give each node's text line and JSON
     fields; every traversal is iterative, so depth is bounded only by n.
     Nodes keep no parent pointer: a dropped tree holds no reference cycle,
-    so reference counting frees it without waiting for a full GC pass."""
+    so reference counting frees it without waiting for a full GC pass.
+    `annotated` records that the b-nesting thresholds are set on the nodes."""
 
     def __init__(self, root, nodes: list, R: list, L: list, pset: PermutationSet):
         self.root = root
@@ -64,6 +66,7 @@ class StrongTree:
         self.pset = pset
         self._R = R
         self._L = L
+        self.annotated = False
 
     def to_text(self) -> str:
         lines = []
@@ -215,23 +218,3 @@ def build_pqtree(pset: PermutationSet) -> PQTree:
         done.append((i, node))
     assert len(done) == 1, "strong intervals did not close into one tree"
     return PQTree(done[0][1], nodes, R, L, pset)
-
-
-def weak_intervals_of_qnode(node: PQNode, include_full: bool = False) -> list:
-    """Unions of >= 2 consecutive children of a Q-node, sorted by (lo, hi).
-
-    The union of all children equals the node's own (strong) interval; it is
-    excluded unless include_full is set.
-    """
-    if node.kind != "Q":
-        raise ValueError(f"not a Q-node: {node.kind} {node.interval}")
-    kids = node.children
-    m = len(kids)
-    out = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            if not include_full and a == 0 and b == m - 1:
-                continue
-            out.append(Interval(kids[a].interval.lo, kids[b].interval.hi))
-    out.sort()
-    return out

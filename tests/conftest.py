@@ -3,7 +3,9 @@
 Two goldens recur across the suite: a three-permutation unsigned set with a
 P root over three Q children, and a two-permutation signed framed set whose
 inclusion tree is a root with two children.  Expected families and counts
-were frozen from the brute-force oracle.
+were frozen from the brute-force oracle.  The seeded 500-instance corpora
+of the acceptance gate, and reference helpers that list weak intervals and
+per-pair verdicts straight from a tree, live here too.
 """
 from __future__ import annotations
 
@@ -110,6 +112,109 @@ def random_framed_raw(rng: random.Random, n: int, K: int) -> list:
                 row[i:j + 1] = [-v for v in reversed(row[i:j + 1])]
         raw.append(row)
     return raw
+
+
+def signed_inversions_raw(rng: random.Random, n: int, K: int, count: int) -> list:
+    """The identity and K-1 rows each carrying `count` short (1-6 element)
+    reversals-with-negation strictly inside the frame +1 ... +n."""
+    raw = [list(range(1, n + 1))]
+    for _ in range(K - 1):
+        row = list(range(1, n + 1))
+        for _ in range(count):
+            length = rng.randint(1, 6)
+            a = rng.randint(1, n - 1 - length)
+            row[a:a + length] = [-v for v in reversed(row[a:a + length])]
+        raw.append(row)
+    return raw
+
+
+COMMON_CORPUS_SEED = 0xC0FFEE
+CONSERVED_CORPUS_SEED = 0xBEEF
+
+
+@pytest.fixture(scope="session")
+def common_corpus() -> list:
+    rng = random.Random(COMMON_CORPUS_SEED)
+    out = []
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        out.append(core.normalize(random_unsigned_raw(rng, n, rng.randint(1, 5))))
+    return out
+
+
+@pytest.fixture(scope="session")
+def conserved_corpus() -> list:
+    rng = random.Random(CONSERVED_CORPUS_SEED)
+    out = []
+    for _ in range(500):
+        n = rng.randint(2, 10)
+        out.append(core.normalize(
+            random_framed_raw(rng, n, rng.randint(1, 4)), signed=True))
+    return out
+
+
+def weak_intervals_of_qnode(node, include_full: bool = False) -> list:
+    """Unions of >= 2 consecutive children of a Q-node, sorted by (lo, hi).
+
+    The union of all children equals the node's own (strong) interval; it is
+    excluded unless include_full is set.
+    """
+    if node.kind != "Q":
+        raise ValueError(f"not a Q-node: {node.kind} {node.interval}")
+    kids = node.children
+    m = len(kids)
+    out = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            if not include_full and a == 0 and b == m - 1:
+                continue
+            out.append(core.Interval(kids[a].interval.lo, kids[b].interval.hi))
+    out.sort()
+    return out
+
+
+def weak_conserved_intervals(node):
+    """Frontier pairs (f_i..f_j), i < j, excluding the node interval itself.
+
+    Across all nodes of a tree this yields every weak conserved interval of
+    size >= 2 exactly once.
+    """
+    f = node.frontiers
+    m = len(f)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if i == 0 and j == m - 1:
+                continue
+            yield core.Interval(f[i], f[j])
+
+
+def step_kinds(node, b: int) -> list:
+    """Per frontier step of a node of an annotated conserved tree: "plain"
+    (size <= b+1), "good" (an acceptable gap) or "bad"."""
+    f = node.frontiers
+    return ["plain" if f[t + 1] - f[t] <= b else "good" if b >= node.tau[t] else "bad"
+            for t in range(len(f) - 1)]
+
+
+def weak_b_nested(node, b: int) -> dict:
+    """Verdict for every frontier pair of a node of an annotated conserved
+    tree, keyed by index pair.
+
+    (f_i..f_j) is b-nested iff steps i..j-1 hold no bad gap and at most one
+    gap.  Includes the full pair (0, |F|-1), whose verdict is b >= bstar.
+    """
+    kinds = step_kinds(node, b)
+    m = len(node.frontiers)
+    bad = [0] * m  # prefix counts over steps
+    good = [0] * m
+    for t in range(m - 1):
+        bad[t + 1] = bad[t] + (kinds[t] == "bad")
+        good[t + 1] = good[t] + (kinds[t] == "good")
+    out = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            out[(i, j)] = bad[j] == bad[i] and good[j] - good[i] <= 1
+    return out
 
 
 @pytest.fixture

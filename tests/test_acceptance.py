@@ -24,7 +24,6 @@ from bnest.conserved_enum import (
     annotate_conserved,
     count_b_nested_conserved,
     enumerate_b_nested_conserved,
-    weak_b_nested,
 )
 from bnest.conserved_tree import build_conserved_tree, irreducible_conserved_intervals
 from bnest.pqtree import build_pqtree
@@ -34,37 +33,14 @@ from conftest import (
     ivset,
     random_framed_raw,
     random_unsigned_raw,
+    weak_b_nested,
 )
-
-COMMON_CORPUS_SEED = 0xC0FFEE
-CONSERVED_CORPUS_SEED = 0xBEEF
 
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
     build_pqtree(core.normalize(GOLD_COMMON_RAW))
     build_conserved_tree(core.normalize(GOLD_CONSERVED_RAW, signed=True))
-
-
-@pytest.fixture(scope="module")
-def common_corpus():
-    rng = random.Random(COMMON_CORPUS_SEED)
-    out = []
-    for _ in range(500):
-        n = rng.randint(1, 12)
-        out.append(core.normalize(random_unsigned_raw(rng, n, rng.randint(1, 5))))
-    return out
-
-
-@pytest.fixture(scope="module")
-def conserved_corpus():
-    rng = random.Random(CONSERVED_CORPUS_SEED)
-    out = []
-    for _ in range(500):
-        n = rng.randint(2, 10)
-        out.append(core.normalize(
-            random_framed_raw(rng, n, rng.randint(1, 4)), signed=True))
-    return out
 
 
 def _report(capsys, num: int, label: str, ok: bool, detail: str):
@@ -102,8 +78,8 @@ def test_criterion_2_q_count_pattern(capsys):
     blocks = [[1], [2], [3], [4, 5], [6], [7], [8, 9], [10], [11, 12]]
     p2 = [v for blk in blocks for v in reversed(blk)]
     tree = build_pqtree(core.normalize([list(range(1, 13)), p2]))
-    ann = annotate(tree, 1)
-    large_terms, run_terms = qnode_count_parts(tree.root, 1, ann)
+    annotate(tree)
+    large_terms, run_terms = qnode_count_parts(tree.root, 1)
     ok = (tree.root.kind == "Q"
           and large_terms == [11, 5, 1]
           and run_terms == [3, 1, 0]
@@ -191,11 +167,11 @@ def test_criterion_6_gap_dichotomy(capsys, conserved_corpus):
     for pset in conserved_corpus:
         tree = build_conserved_tree(pset)
         fam = oracle.all_conserved(pset)
+        annotate_conserved(tree)
         for b in (1, 2, 3):
             expected = oracle.all_b_nested(fam, b)
-            ann = annotate_conserved(tree, b)
             for nd in tree.nodes:
-                for (i, j), verdict in weak_b_nested(nd, b, ann[nd]).items():
+                for (i, j), verdict in weak_b_nested(nd, b).items():
                     iv = core.Interval(nd.frontiers[i], nd.frontiers[j])
                     if verdict != (iv in expected):
                         violations += 1

@@ -47,20 +47,22 @@ def test_golden_counts(gold_tree):
 
 
 def test_annotate_verdicts(gold_tree):
-    ann1 = annotate(gold_tree, 1)
-    assert not ann1[gold_tree.root].b_nested  # needs a size >= 8 member inside
-    ann5 = annotate(gold_tree, 5)
-    assert ann5[gold_tree.root].b_nested
+    annotate(gold_tree)
+    assert gold_tree.root.bstar > 1  # needs a size >= 8 member inside
+    assert gold_tree.root.bstar <= 5
     for nd in gold_tree.nodes:
         if nd.is_leaf:
-            assert ann1[nd].b_nested
+            assert nd.bstar <= 1
         if nd.size <= 2:  # size <= b+1 is always nested
-            assert ann1[nd].b_nested
+            assert nd.bstar <= 1
 
 
 def test_annotate_rejects_bad_b(gold_tree):
-    with pytest.raises(ValueError):
-        annotate(gold_tree, 0)
+    for b in (0, -1):
+        with pytest.raises(ValueError):
+            count_b_nested_common(gold_tree, b)
+        with pytest.raises(ValueError):
+            next(enumerate_b_nested_common(gold_tree, b))
 
 
 def test_count_matches_materialized_enumeration(gold_tree):
@@ -80,10 +82,10 @@ def test_qnode_count_parts_pattern():
     pset = core.normalize([list(range(1, 13)), p2])
     tree = build_pqtree(pset)
     assert tree.root.kind == "Q" and len(tree.root.children) == 9
-    ann = annotate(tree, 1)
-    assert [ann[c].size > 1 for c in tree.root.children] == [
+    annotate(tree)
+    assert [c.size > 1 for c in tree.root.children] == [
         False, False, False, True, False, False, True, False, True]
-    large_terms, run_terms = qnode_count_parts(tree.root, 1, ann)
+    large_terms, run_terms = qnode_count_parts(tree.root, 1)
     assert large_terms == [11, 5, 1]
     assert run_terms == [3, 1, 0]
     assert sum(large_terms) + sum(run_terms) == 21

@@ -10,17 +10,20 @@ from hypothesis import strategies as st
 from bnest import core, oracle
 from bnest.common_enum import ScanStats
 from bnest.conserved_enum import (
-    STEP_GAP,
-    STEP_GOOD,
-    STEP_PLAIN,
     annotate_conserved,
     count_b_nested_conserved,
     enumerate_b_nested_conserved,
     node_count_parts,
-    weak_b_nested,
 )
 from bnest.conserved_tree import build_conserved_tree
-from conftest import GOLD_CONSERVED_RAW, ivset, random_framed_raw
+from conftest import (
+    GOLD_CONSERVED_RAW,
+    ivset,
+    random_framed_raw,
+    signed_inversions_raw,
+    step_kinds,
+    weak_b_nested,
+)
 
 GOLD_ORDER_B2_MIN2 = [
     (2, 3), (6, 7), (7, 8), (6, 8), (1, 4), (1, 5), (4, 5), (4, 9), (5, 9)]
@@ -47,35 +50,36 @@ def test_golden_counts(gold_tree):
 
 def test_golden_gap_classification(gold_tree):
     root = gold_tree.root
-    ann2 = annotate_conserved(gold_tree, 2)
-    assert ann2[root].gap_at == [STEP_GOOD, STEP_PLAIN, STEP_GOOD]
-    assert not ann2[root].node_b_nested  # two good gaps
-    ann1 = annotate_conserved(gold_tree, 1)
-    assert ann1[root].gap_at == [STEP_GAP, STEP_PLAIN, STEP_GAP]
+    annotate_conserved(gold_tree)
+    assert step_kinds(root, 2) == ["good", "plain", "good"]
+    assert root.bstar > 2  # two good gaps
+    assert step_kinds(root, 1) == ["bad", "plain", "bad"]
     for child in root.children:
-        assert ann1[child].node_b_nested and ann2[child].node_b_nested
+        assert child.bstar == 1  # b-nested at b = 1 and 2
 
 
 def test_golden_count_parts(gold_tree):
-    ann = annotate_conserved(gold_tree, 2)
-    gap_terms, run_terms = node_count_parts(gold_tree.root, ann[gold_tree.root])
+    annotate_conserved(gold_tree)
+    gap_terms, run_terms = node_count_parts(gold_tree.root, 2)
     assert gap_terms == [2, 2] and run_terms == [1]
-    ann1 = annotate_conserved(gold_tree, 1)
-    gap_terms, run_terms = node_count_parts(gold_tree.root, ann1[gold_tree.root])
+    gap_terms, run_terms = node_count_parts(gold_tree.root, 1)
     assert gap_terms == [] and run_terms == [1]
 
 
 def test_golden_weak_verdicts(gold_tree):
-    ann = annotate_conserved(gold_tree, 2)
-    verdicts = weak_b_nested(gold_tree.root, 2, ann[gold_tree.root])
+    annotate_conserved(gold_tree)
+    verdicts = weak_b_nested(gold_tree.root, 2)
     assert verdicts == {
         (0, 1): True, (0, 2): True, (0, 3): False,
         (1, 2): True, (1, 3): True, (2, 3): True}
 
 
 def test_annotate_rejects_bad_b(gold_tree):
-    with pytest.raises(ValueError):
-        annotate_conserved(gold_tree, 0)
+    for b in (0, -1):
+        with pytest.raises(ValueError):
+            count_b_nested_conserved(gold_tree, b)
+        with pytest.raises(ValueError):
+            next(enumerate_b_nested_conserved(gold_tree, b))
 
 
 def test_min_size_validation(gold_tree):
@@ -144,11 +148,11 @@ def test_dichotomy_over_all_conserved_intervals():
         pset = core.normalize(random_framed_raw(rng, n, rng.randint(1, 4)), signed=True)
         tree = build_conserved_tree(pset)
         fam = oracle.all_conserved(pset)
+        annotate_conserved(tree)
         for b in (1, 2):
             expected = oracle.all_b_nested(fam, b)
-            ann = annotate_conserved(tree, b)
             for nd in tree.nodes:
-                verdicts = weak_b_nested(nd, b, ann[nd])
+                verdicts = weak_b_nested(nd, b)
                 for (i, j), ok in verdicts.items():
                     iv = core.Interval(nd.frontiers[i], nd.frontiers[j])
                     assert ok == (iv in expected), (iv, b)
@@ -181,15 +185,7 @@ def test_outputs_are_plain_pairs(b, min_size):
 def test_count_matches_enumerate_at_gate_scale():
     """count equals the number enumerated and grows with b on a framed
     n = 1500 instance of short signed inversions."""
-    rng = random.Random(31)
-    raw = [list(range(1, 1501))]
-    for _ in range(2):
-        row = list(range(1, 1501))
-        for _ in range(110):
-            length = rng.randint(1, 6)
-            a = rng.randint(1, 1499 - length)
-            row[a:a + length] = [-v for v in reversed(row[a:a + length])]
-        raw.append(row)
+    raw = signed_inversions_raw(random.Random(31), 1500, 3, 110)
     tree = build_conserved_tree(core.normalize(raw, signed=True))
     prev = 0
     for b in (1, 2, 5, tree.n):

@@ -11,9 +11,14 @@ from bnest.conserved_tree import (
     _conserved_generator,
     build_conserved_tree,
     irreducible_conserved_intervals,
+)
+from conftest import (
+    GOLD_CONSERVED_RAW,
+    canonical_bounds,
+    ivset,
+    random_framed_raw,
     weak_conserved_intervals,
 )
-from conftest import GOLD_CONSERVED_RAW, canonical_bounds, ivset, random_framed_raw
 
 GOLD_TREE_TEXT = """\
 S (1..9) F={1,4,5,9}

@@ -7,12 +7,15 @@ import pytest
 
 from bnest import core, oracle
 from bnest._kernels import canonical_generator, position_matrix
-from bnest.pqtree import (
-    PQTree,
-    build_pqtree,
+from bnest.pqtree import PQTree, build_pqtree
+from conftest import (
+    GOLD_COMMON_RAW,
+    canonical_bounds,
+    ivset,
+    random_unsigned_raw,
+    singletons,
     weak_intervals_of_qnode,
 )
-from conftest import GOLD_COMMON_RAW, canonical_bounds, ivset, random_unsigned_raw, singletons
 
 GOLD_TREE_TEXT = """\
 P (1..9)
