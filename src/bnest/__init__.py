@@ -25,7 +25,7 @@ from .core import (
     parse_permutations,
     validate_conserved_frame,
 )
-from .pqtree import PQNode, PQTree, build_pqtree
+from .pqtree import InternalStructureError, PQNode, PQTree, build_pqtree
 from .common_enum import (
     ScanStats,
     annotate,
@@ -35,7 +35,6 @@ from .common_enum import (
 from .conserved_tree import (
     ConservedNode,
     ConservedTree,
-    InternalStructureError,
     build_conserved_tree,
     irreducible_conserved_intervals,
 )

@@ -19,15 +19,18 @@ Sup comes from one sweep of i downward that switches on position Q[i] and
 merges it with the runs on either side, found through run-endpoint arrays.
 The minimum label of each live run sits in an ascending linked list headed
 by i, so Sup(i) is the next minimum in the list, minus 1.  Each step is
-O(1).  Inf is Sup of the reversed row with labels complemented.
+O(1).  Inf is the mirror image of Sup: Sup of the reversed row (labels
+complemented), reversed and complemented back.
 
 Intersection.  Membership is a conjunction over the permutations, so the
 elementwise min R0 of the Sups and max L0 of the Infs are exact bounds:
 (i..j) is common iff j <= R0[i] and L0[j] <= i.  They need not be
-canonical; one DSU pass makes them so.  The conserved family folds exact
-bounds of a doubled alphabet and canonicalizes once, through the same pass.
-The whole generator is O(Kn), in plain Python on lists (Bergeron, Chauve,
-de Montgolfier & Raffinot, SIAM J. Discrete Math. 22(3), 2008).
+canonical; one DSU pass makes R so, and the same pass on the mirror image
+makes L so.  The conserved family folds exact bounds of a doubled alphabet
+and canonicalizes once, through the same pass.
+The whole generator is O(Kn) Python steps on lists, plus the built-in sort
+that orders each DSU pass's kills (Bergeron, Chauve, de Montgolfier &
+Raffinot, SIAM J. Discrete Math. 22(3), 2008).
 """
 from __future__ import annotations
 
@@ -70,6 +73,13 @@ def _sup(row: list) -> list:
     return sup
 
 
+def mirror(X: list, n: int) -> list:
+    """X read from the other end: position and value x become n-1-x.  It
+    turns a left-end bound into a right-end one and back, so each sweep
+    below is written once, for one side."""
+    return [n - 1 - x for x in reversed(X)]
+
+
 def exact_bounds(posmat: np.ndarray, n: int) -> tuple:
     """Exact, not necessarily canonical, bounds (R0, L0) as lists: (i..j)
     is common to the identity and the rows of posmat iff j <= R0[i] and
@@ -82,36 +92,31 @@ def exact_bounds(posmat: np.ndarray, n: int) -> tuple:
     L0 = [0] * n
     for row in posmat.tolist():
         R0 = list(map(min, R0, _sup(row)))
-        inf = [n - 1 - s for s in reversed(_sup(row[::-1]))]
-        L0 = list(map(max, L0, inf))
+        L0 = list(map(max, L0, mirror(_sup(row[::-1]), n)))
     return R0, L0
+
+
+def _canonical_right(R0: list, L0: list, n: int) -> list:
+    """R[i] = max{j <= R0[i] : L0[j] <= i}: sweep i down, killing right
+    ends whose L0 threshold passes, in the order of one sort by L0."""
+    order = sorted(range(n), key=L0.__getitem__)
+    k = n
+    par = list(range(n))
+    R = [0] * n
+    for i in range(n - 1, -1, -1):
+        while k and L0[order[k - 1]] > i:
+            k -= 1
+            j = order[k]
+            par[j] = j - 1
+        R[i] = find_left(par, R0[i])
+    return R
 
 
 def canonicalize(R0: list, L0: list, n: int) -> tuple:
     """Canonical (R, L) from exact bounds: R[i] = max{j <= R0[i] : L0[j] <= i}
-    and L[j] = min{i >= L0[j] : R0[i] >= j}."""
-    # Sweep i down, killing right ends whose L0 threshold passes.
-    by_l = [[] for _ in range(n + 1)]
-    for j in range(n):
-        by_l[L0[j]].append(j)
-    par = list(range(n))
-    R = [0] * n
-    for i in range(n - 1, -1, -1):
-        for j in by_l[i + 1]:
-            par[j] = j - 1
-        R[i] = find_left(par, R0[i])
-
-    by_r = [[] for _ in range(n + 1)]
-    for i in range(n):
-        by_r[R0[i]].append(i)
-    par = list(range(n + 1))
-    L = [0] * n
-    for j in range(n):
-        if j > 0:
-            for i in by_r[j - 1]:
-                par[i] = i + 1
-        L[j] = find_right(par, L0[j])
-    return R, L
+    and its mirror image L[j] = min{i >= L0[j] : R0[i] >= j}."""
+    R = _canonical_right(R0, L0, n)
+    return R, mirror(_canonical_right(mirror(L0, n), mirror(R0, n), n), n)
 
 
 def canonical_generator(posmat: np.ndarray, n: int) -> tuple:
@@ -127,24 +132,13 @@ def canonical_generator(posmat: np.ndarray, n: int) -> tuple:
     return canonicalize(R0, L0, n)
 
 
-def position_matrix(perms, skip_identity: bool = True) -> np.ndarray:
-    """Stack 0-based label->position rows for the given permutations."""
-    rows = []
-    for perm in perms:
-        elements = perm.elements
-        n = len(elements)
-        row = np.empty(n, dtype=np.int64)
-        identity = True
-        for p, v in enumerate(elements):
-            row[v - 1] = p
-            if v != p + 1:
-                identity = False
-        if skip_identity and identity:
-            continue
-        rows.append(row)
-    if not rows:
-        return np.empty((0, 0), dtype=np.int64)
-    return np.stack(rows)
+def position_matrix(perms) -> np.ndarray:
+    """0-based label->position rows of the non-identity permutations, one
+    2-D int64 row each (no rows when all are the identity)."""
+    n = perms[0].n
+    identity = tuple(range(1, n + 1))
+    rows = [perm.positions for perm in perms if perm.elements != identity]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n + 1)[:, 1:] - 1
 
 
 def find_left(par, x):
@@ -156,18 +150,5 @@ def find_left(par, x):
     while root >= 0 and par[root] != root:
         root = par[root]
     while x >= 0 and par[x] != x:
-        par[x], x = root, par[x]
-    return root
-
-
-def find_right(par, x):
-    """Smallest live index >= x in a kill-to-the-right DSU, n if none.
-
-    The sentinel n must be present and live: par[n] == n.
-    """
-    root = x
-    while par[root] != root:
-        root = par[root]
-    while par[x] != x:
         par[x], x = root, par[x]
     return root

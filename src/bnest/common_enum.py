@@ -85,7 +85,7 @@ def annotate(tree: PQTree) -> None:
 def _scan_qnode(node, b, min_size, out, stats):
     kids = node.children
     m = len(kids)
-    his = [c.interval[1] for c in kids]
+    his = [c.hi for c in kids]
     next_large = [m] * (m + 1)  # least index >= t of a b-large child, else m
     for t in range(m - 1, -1, -1):
         next_large[t] = t if kids[t].size > b else next_large[t + 1]
@@ -101,7 +101,7 @@ def _scan_qnode(node, b, min_size, out, stats):
             stop = next_large[d + 1]
         else:
             stop = d
-        lo = kid.interval[0]
+        lo = kid.lo
         start = bisect_left(his, lo + min_size - 1, a + 1, stop)
         k = stop - start
         if k > 0:
@@ -127,10 +127,10 @@ def enumerate_b_nested_common(tree: PQTree, b: int, min_size: int = 1, stats: Sc
     for node in tree.nodes:
         if node.is_leaf:
             if min_size <= 1:
-                yield tuple(node.interval)
+                yield node.lo, node.hi
         elif node.kind == "P":
             if b >= node.bstar and node.size >= min_size:
-                yield tuple(node.interval)
+                yield node.lo, node.hi
         else:
             out = []
             _scan_qnode(node, b, min_size, out, stats)

@@ -112,7 +112,7 @@ def enumerate_b_nested_conserved(tree: ConservedTree, b: int, min_size: int = 1,
                 iters += k
                 yield from zip(repeat(lo, k), f[start:last + 1])
         if b >= node.bstar and node.size >= node_min:
-            yield tuple(node.interval)
+            yield node.lo, node.hi
     if stats is not None:
         stats.iterations += iters
 

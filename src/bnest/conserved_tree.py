@@ -19,40 +19,41 @@ original block is, and it can only start on the left half of a +a (or right
 half of a -a backwards) when the delimiter signs match.  Exact bounds of
 the doubled family therefore yield, after a floor-by-two change of
 coordinates and one DSU pass to restore canonicity, the canonical generator
-(R, L) of the conserved family, and the same strong-interval sweep used for
-the PQ-tree emits the nodes in post-order.
+(R, L) of the conserved family, and the PQ-tree's strong-interval sweep and
+assembly build the tree, leaving the unit intervals out.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import Interval, PermutationSet, validate_conserved_frame
 from ._kernels import canonicalize, exact_bounds
-from .pqtree import StrongTree, _emit_strong, _strong_bounds
+from .pqtree import InternalStructureError, StrongTree, _assemble, _strong_bounds
 
 
-class InternalStructureError(RuntimeError):
-    """Structural invariant of the conserved family violated: upstream bug."""
-
-
-@dataclass(eq=False)
 class ConservedNode:
-    interval: Interval
-    frontiers: tuple  # ascending, frontiers[0] = lo, frontiers[-1] = hi
-    children: list = field(default_factory=list)
-    L_link: "tuple | None" = None  # successive parent frontiers around self
-    parent_step: "int | None" = field(default=None, repr=False)
-    size: int = field(init=False, repr=False)
-    # Set by conserved_enum.annotate_conserved: the least b making the node
-    # b-nested, and per frontier step the least b making that step plain or
-    # a good gap.
-    bstar: int = field(init=False, repr=False)
-    tau: list = field(init=False, repr=False)
+    """One strong conserved interval (lo..hi), 1-based, with its frontiers
+    (ascending, frontiers[0] = lo, frontiers[-1] = hi).  L_link holds the
+    successive parent frontiers around the node and parent_step the index
+    of that parent step; both stay None at the root.  annotate_conserved
+    sets bstar, the least b making the node b-nested, and tau, per frontier
+    step the least b making that step plain or a good gap."""
 
-    def __post_init__(self):
-        self.size = self.interval.size()  # read per child by annotate_conserved
+    __slots__ = ("lo", "hi", "size", "frontiers", "children", "L_link", "parent_step",
+                 "bstar", "tau")
+
+    def __init__(self, lo: int, hi: int, frontiers: tuple, children=()):
+        self.lo = lo
+        self.hi = hi
+        self.size = hi - lo + 1  # read per child by annotate_conserved
+        self.frontiers = frontiers
+        self.children = children
+        self.L_link = None
+        self.parent_step = None
+
+    @property
+    def interval(self) -> Interval:
+        return Interval(self.lo, self.hi)
 
     def steps(self):
         """Successive frontier pairs; these are the irreducible intervals."""
@@ -62,25 +63,16 @@ class ConservedNode:
 
 class ConservedTree(StrongTree):
     def is_conserved(self, lo: int, hi: int) -> bool:
-        """Membership test, 1-based ends; unit intervals always qualify."""
+        """Membership test, 1-based ends; unit intervals always qualify, as
+        a canonical generator has R[i] >= i and L[j] <= j."""
         if not (1 <= lo <= hi <= self.n):
             return False
-        if lo == hi:
-            return True
         i, j = lo - 1, hi - 1
         return j <= self._R[i] and self._L[j] <= i
 
-    def num_conserved_intervals(self) -> int:
-        """|F|: singletons plus one interval per frontier pair per node."""
-        total = self.n
-        for node in self.nodes:
-            m = len(node.frontiers)
-            total += m * (m - 1) // 2
-        return total
-
     @staticmethod
     def _text_line(node: ConservedNode) -> str:
-        line = f"S {node.interval} F={{{','.join(str(f) for f in node.frontiers)}}}"
+        line = f"S ({node.lo}..{node.hi}) F={{{','.join(str(f) for f in node.frontiers)}}}"
         if node.L_link is not None:
             line += f" L=({node.L_link[0]},{node.L_link[1]})"
         return line
@@ -88,38 +80,28 @@ class ConservedTree(StrongTree):
     @staticmethod
     def _json_fields(node: ConservedNode) -> dict:
         return {
-            "lo": node.interval.lo,
-            "hi": node.interval.hi,
+            "lo": node.lo,
+            "hi": node.hi,
             "frontiers": list(node.frontiers),
             "L_link": list(node.L_link) if node.L_link else None,
         }
 
 
 def _doubled_position_matrix(pset: PermutationSet) -> np.ndarray:
-    """One row per non-identity doubled permutation: value -> position."""
+    """One row per non-identity doubled permutation: value -> position.
+    +v at position p holds values 2v-1, 2v at positions 2p-1, 2p (1-based),
+    and -v holds them swapped."""
     n = pset.n
-    rows = []
-    for perm in pset.perms:
-        signs = getattr(perm, "signs", None)
-        row = np.empty(2 * n, dtype=np.int64)
-        identity = True
-        for p in range(n):
-            v = perm.elements[p]
-            s = 1 if signs is None else signs[p]
-            if s > 0:
-                row[2 * v - 2] = 2 * p
-                row[2 * v - 1] = 2 * p + 1
-            else:
-                row[2 * v - 1] = 2 * p
-                row[2 * v - 2] = 2 * p + 1
-                identity = False
-            if v != p + 1:
-                identity = False
-        if not identity:
-            rows.append(row)
-    if not rows:
-        return np.empty((0, 0), dtype=np.int64)
-    return np.stack(rows)
+    identity = tuple(range(1, n + 1))
+    keep = [perm for perm in pset.perms if perm.elements != identity or -1 in perm.signs]
+    k = len(keep)
+    pos = np.array([perm.positions for perm in keep], dtype=np.int64).reshape(k, n + 1)[:, 1:] - 1
+    signs = np.array([perm.signs for perm in keep], dtype=np.int64).reshape(k, n)
+    neg = np.take_along_axis(signs, pos, axis=1) < 0  # per label
+    out = np.empty((k, 2 * n), dtype=np.int64)
+    out[:, 0::2] = 2 * pos + neg
+    out[:, 1::2] = 2 * pos + 1 - neg
+    return out
 
 
 def _conserved_generator(pset: PermutationSet):
@@ -137,62 +119,42 @@ def build_conserved_tree(pset: PermutationSet) -> ConservedTree:
     """Build the strong-interval inclusion tree of a framed signed set."""
     validate_conserved_frame(pset)
     n = pset.n
-    if n == 1:
-        root = ConservedNode(Interval(1, 1), (1,))
-        return ConservedTree(root, [root], [0], [0], pset)
-
     R, L = _conserved_generator(pset)
 
     def mem(i, j):  # 0-based, i < j
         return j <= R[i] and L[j] <= i
 
-    lo, hi = _strong_bounds(R, L, n)
-    nodes = []
-    done = []  # stack of (lo0, finished node)
-    for i, j in _emit_strong(lo, hi, n):
-        if i == j:
-            continue  # unit intervals are not strong conserved intervals
-        kids = []
-        while done and done[-1][0] >= i:
-            kids.append(done.pop()[1])
-        kids.reverse()
-
+    def make(i, j, kids):
+        if i == j:  # a unit interval is a node only as the root of n = 1
+            return ConservedNode(1, 1, (1,)) if n == 1 else None
         # Frontiers: the ends, plus every element covered by no child whose
         # two sides are both conserved.  Interior frontiers are never inside
-        # a child: the side intervals would overlap that strong child.
+        # a child (the side intervals would overlap that strong child), so
+        # each child lies in the step opened by the last frontier before it.
         fr = [i]
-        cur = i
+        cur = i + 1
         for c in kids:
-            clo, chi = c.interval.lo - 1, c.interval.hi - 1
-            for f in range(cur, clo):
-                if f != i and mem(i, f) and mem(f, j):
+            for f in range(cur, c.lo - 1):
+                if mem(i, f) and mem(f, j):
                     fr.append(f)
-            cur = chi + 1
-        for f in range(cur, j + 1):
-            if f != i and f != j and mem(i, f) and mem(f, j):
+            c.parent_step = len(fr) - 1
+            cur = c.hi
+        for f in range(cur, j):
+            if mem(i, f) and mem(f, j):
                 fr.append(f)
         fr.append(j)
-
-        node = ConservedNode(Interval(i + 1, j + 1), tuple(x + 1 for x in fr))
-        step = 0
+        node = ConservedNode(i + 1, j + 1, tuple(x + 1 for x in fr), kids)
+        f = node.frontiers
         for c in kids:
-            while step + 1 < len(fr) - 1 and fr[step + 1] <= c.interval.lo - 1:
-                step += 1
-            f_lo, f_hi = fr[step], fr[step + 1]
-            inside = f_lo <= c.interval.lo - 1 and c.interval.hi - 1 <= f_hi
-            if not inside or (f_lo, f_hi) == (c.interval.lo - 1, c.interval.hi - 1):
+            f_lo, f_hi = f[c.parent_step], f[c.parent_step + 1]
+            if not f_lo <= c.lo <= c.hi <= f_hi or (f_lo, f_hi) == (c.lo, c.hi):
                 raise InternalStructureError(
-                    f"child {c.interval} not strictly inside a frontier step of {node.interval}"
-                )
-            c.L_link = (f_lo + 1, f_hi + 1)
-            c.parent_step = step
-        node.children = kids
-        nodes.append(node)
-        done.append((i, node))
+                    f"child {c.interval} not strictly inside a frontier step of {node.interval}")
+            c.L_link = (f_lo, f_hi)
+        return node
 
-    if len(done) != 1 or done[0][1].interval != Interval(1, n):
-        raise InternalStructureError("strong conserved intervals did not close into one tree")
-    return ConservedTree(done[0][1], nodes, R, L, pset)
+    lo, hi = _strong_bounds(R, L, n)
+    return ConservedTree(_assemble(lo, hi, n, make), R, L, pset)
 
 
 def irreducible_conserved_intervals(tree: ConservedTree) -> list:
@@ -203,9 +165,4 @@ def irreducible_conserved_intervals(tree: ConservedTree) -> list:
     interior split point m of a step could otherwise be chained into both
     ends and would enlarge the maximal frontier set.
     """
-    out = []
-    for node in tree.nodes:
-        if node.size >= 2:
-            out.extend(node.steps())
-    out.sort()
-    return out
+    return sorted(step for node in tree.nodes for step in node.steps())

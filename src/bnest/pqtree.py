@@ -22,29 +22,42 @@ Strongness decouples per endpoint into i >= lo[j] and j <= hi[i], with
   hi[i] = min(R[i], min{j' >= i : L[j'] < i})
 
 because an overlap witness on the right is exactly an i' in (i..j] whose arc
-leaves j behind, and symmetrically on the left.  A sweep over right ends j
-with a top-down list of live left ends emits the strong pairs in post-order,
-so the tree assembles with one stack and no recursion.
+leaves j behind, and symmetrically on the left.  hi is the mirror image of
+lo: the lo sweep run on the mirrored generator, mirrored back.  A sweep over
+right ends j with a top-down list of live left ends emits the strong pairs
+in post-order, so the tree assembles with one stack and no recursion; the
+conserved tree is assembled by the same routine.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from bisect import bisect_left
 
 from .core import Interval, PermutationSet
-from ._kernels import canonical_generator, position_matrix, find_left, find_right
+from ._kernels import canonical_generator, find_left, mirror, position_matrix
 
 
-@dataclass(eq=False)
+class InternalStructureError(RuntimeError):
+    """Structural invariant of a strong-interval tree violated: upstream bug."""
+
+
 class PQNode:
-    interval: Interval
-    kind: str  # 'P', 'Q' or 'LEAF'
-    children: list = field(default_factory=list)
-    size: int = field(init=False, repr=False)
-    bstar: int = field(init=False, repr=False)  # least b making it b-nested; see annotate
+    """One strong common interval (lo..hi), 1-based; kind 'P', 'Q' or
+    'LEAF'.  Leaves share () as children.  annotate sets bstar, the least
+    b making the node b-nested."""
 
-    def __post_init__(self):
-        self.size = self.interval.size()  # read per child by the scans and counts
+    __slots__ = ("lo", "hi", "size", "kind", "children", "bstar")
+
+    def __init__(self, lo: int, hi: int, kind: str, children=()):
+        self.lo = lo
+        self.hi = hi
+        self.size = hi - lo + 1  # read per child by the scans and counts
+        self.kind = kind
+        self.children = children
+
+    @property
+    def interval(self) -> Interval:
+        return Interval(self.lo, self.hi)
 
     @property
     def is_leaf(self) -> bool:
@@ -59,8 +72,8 @@ class StrongTree:
     so reference counting frees it without waiting for a full GC pass.
     `annotated` records that the b-nesting thresholds are set on the nodes."""
 
-    def __init__(self, root, nodes: list, R: list, L: list, pset: PermutationSet):
-        self.root = root
+    def __init__(self, nodes: list, R: list, L: list, pset: PermutationSet):
+        self.root = nodes[-1]
         self.nodes = nodes  # post-order
         self.n = pset.n
         self.pset = pset
@@ -120,52 +133,35 @@ class PQTree(StrongTree):
         i, j = lo - 1, hi - 1
         return j <= self._R[i] and self._L[j] <= i
 
-    def num_common_intervals(self) -> int:
-        """|F| without enumerating: nodes plus the weak unions of Q-nodes."""
-        total = len(self.nodes)
-        for node in self.nodes:
-            if node.kind == "Q":
-                m = len(node.children)
-                total += m * (m - 1) // 2 - 1
-        return total
-
     @staticmethod
     def _text_line(node: PQNode) -> str:
-        return f"{'L' if node.is_leaf else node.kind} {node.interval}"
+        return f"{'L' if node.is_leaf else node.kind} ({node.lo}..{node.hi})"
 
     @staticmethod
     def _json_fields(node: PQNode) -> dict:
-        return {"kind": node.kind, "lo": node.interval.lo, "hi": node.interval.hi}
+        return {"kind": node.kind, "lo": node.lo, "hi": node.hi}
 
 
-def _strong_bounds(R: list, L: list, n: int):
-    """Per-endpoint strongness bounds lo[j], hi[i], both 0-based arrays."""
-    # maxbad[j] = max{i <= j : R[i] > j}; kill i once its arc ends.
-    by_r = [[] for _ in range(n)]
-    for i in range(n):
-        by_r[R[i]].append(i)
+def _strong_lo(R: list, L: list, n: int) -> list:
+    """lo[j] = max(L[j], max{i <= j : R[i] > j}); kill i, in R order, once its arc ends."""
+    order = sorted(range(n), key=R.__getitem__)
+    k = 0
     par = list(range(n))
     lo = [0] * n
     for j in range(n):
-        for i in by_r[j]:
+        while k < n and R[order[k]] == j:
+            i = order[k]
+            k += 1
             par[i] = i - 1
         mb = find_left(par, j)
         lj = L[j]
         lo[j] = lj if lj > mb else mb
+    return lo
 
-    # minbad[i] = min{j >= i : L[j] < i}; kill j once i drops below L[j]+1.
-    by_l = [[] for _ in range(n)]
-    for j in range(n):
-        by_l[L[j]].append(j)
-    par = list(range(n + 1))
-    hi = [0] * n
-    for i in range(n - 1, -1, -1):
-        for j in by_l[i]:
-            par[j] = j + 1
-        mb = find_right(par, i)
-        ri = R[i]
-        hi[i] = ri if ri < mb else mb
-    return lo, hi
+
+def _strong_bounds(R: list, L: list, n: int):
+    """Per-endpoint strongness bounds lo[j], hi[i], both 0-based arrays."""
+    return _strong_lo(R, L, n), mirror(_strong_lo(mirror(L, n), mirror(R, n), n), n)
 
 
 def _emit_strong(lo, hi, n):
@@ -193,28 +189,41 @@ def _emit_strong(lo, hi, n):
             cur = nxt
 
 
+def _assemble(lo: list, hi: list, n: int, make) -> list:
+    """Nodes of the strong-interval tree, post-order, root last.
+
+    make(i, j, kids) builds the node of strong pair (i, j), 0-based, from
+    its finished children in order (a shared () when it has none), or
+    returns None to leave the pair out of the tree.
+    """
+    nodes = []
+    starts, done = [], []  # finished subtrees, disjoint: 0-based left ends and nodes
+    for i, j in _emit_strong(lo, hi, n):
+        kids = ()
+        if starts and starts[-1] >= i:
+            t = bisect_left(starts, i)  # the finished subtrees inside (i..j)
+            kids = done[t:]
+            del starts[t:], done[t:]
+        node = make(i, j, kids)
+        if node is not None:
+            nodes.append(node)
+            starts.append(i)
+            done.append(node)
+    if len(done) != 1 or (done[0].lo, done[0].hi) != (1, n):
+        raise InternalStructureError("strong intervals did not close into one tree")
+    return nodes
+
+
 def build_pqtree(pset: PermutationSet) -> PQTree:
     """Build the PQ-tree of the common intervals of pset."""
     n = pset.n
     R, L = canonical_generator(position_matrix(pset.perms), n)
     lo, hi = _strong_bounds(R, L, n)
 
-    def mem(i, j):
-        return j <= R[i] and L[j] <= i
-
-    nodes = []
-    done = []  # stack of (lo0, finished node), disjoint, ascending lo0
-    for i, j in _emit_strong(lo, hi, n):
+    def make(i, j, kids):
         if i == j:
-            node = PQNode(Interval(i + 1, j + 1), "LEAF")
-        else:
-            kids = []
-            while done and done[-1][0] >= i:
-                kids.append(done.pop()[1])
-            kids.reverse()
-            kind = "Q" if mem(kids[0].interval.lo - 1, kids[1].interval.hi - 1) else "P"
-            node = PQNode(Interval(i + 1, j + 1), kind, kids)
-        nodes.append(node)
-        done.append((i, node))
-    assert len(done) == 1, "strong intervals did not close into one tree"
-    return PQTree(done[0][1], nodes, R, L, pset)
+            return PQNode(i + 1, i + 1, "LEAF")
+        a, b = kids[0].lo - 1, kids[1].hi - 1  # Q iff the first two children merge
+        return PQNode(i + 1, j + 1, "Q" if b <= R[a] and L[b] <= a else "P", kids)
+
+    return PQTree(_assemble(lo, hi, n, make), R, L, pset)

@@ -4,8 +4,11 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -40,6 +43,15 @@ def test_count_golden_common(capsys, gold_common_file):
     code, out = _run(capsys, ["count", "--mode", "common", "--b", "1",
                               "--min-size", "2", gold_common_file])
     assert (code, out) == (0, "8\n")
+
+
+def test_python_m_bnest_runs_the_cli(gold_common_file):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bnest", "count", "--b", "1", "--min-size", "2", gold_common_file],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "8\n")
 
 
 def test_count_golden_conserved(capsys, gold_conserved_file):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from bnest import core, oracle
+from bnest.conserved_enum import count_b_nested_conserved
 from bnest.conserved_tree import (
     ConservedTree,
     _conserved_generator,
@@ -74,7 +75,7 @@ def test_golden_membership(gold_conserved_pset):
     fam = oracle.all_conserved(gold_conserved_pset)
     for iv in core.all_intervals(9):
         assert tree.is_conserved(iv.lo, iv.hi) == (iv in fam)
-    assert tree.num_conserved_intervals() == len(fam)
+    assert count_b_nested_conserved(tree, tree.n, 1) == len(fam)
 
 
 def test_all_positive_identity_tree():
@@ -82,13 +83,13 @@ def test_all_positive_identity_tree():
     tree = build_conserved_tree(pset)
     assert tree.root.frontiers == (1, 2, 3, 4, 5)
     assert not tree.root.children
-    assert tree.num_conserved_intervals() == 15
+    assert count_b_nested_conserved(tree, tree.n, 1) == 15
 
 
 def test_single_element_tree():
     tree = build_conserved_tree(core.normalize([[1]], signed=True))
     assert tree.root.interval == core.Interval(1, 1)
-    assert tree.num_conserved_intervals() == 1
+    assert count_b_nested_conserved(tree, 1, 1) == 1
 
 
 def test_build_requires_frame():
@@ -137,7 +138,7 @@ def _assert_tree_invariants(tree: ConservedTree, fam: set, res) -> None:
     assert set(all_steps) == irr
     # completeness: nodes + weak pairs + singletons == the family
     assert regenerated == fam
-    assert tree.num_conserved_intervals() == len(fam)
+    assert count_b_nested_conserved(tree, tree.n, 1) == len(fam)
 
 
 def test_random_instances_match_oracle():

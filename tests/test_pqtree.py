@@ -5,13 +5,24 @@ import random
 
 import pytest
 
-from bnest import core, oracle
-from bnest._kernels import canonical_generator, position_matrix
-from bnest.pqtree import PQTree, build_pqtree
+import bnest
+from bnest import conserved_tree, core, oracle
+from bnest._kernels import canonical_generator, mirror, position_matrix
+from bnest.common_enum import count_b_nested_common
+from bnest.conserved_tree import _conserved_generator
+from bnest.pqtree import (
+    InternalStructureError,
+    PQNode,
+    PQTree,
+    _assemble,
+    _strong_bounds,
+    build_pqtree,
+)
 from conftest import (
     GOLD_COMMON_RAW,
     canonical_bounds,
     ivset,
+    random_framed_raw,
     random_unsigned_raw,
     singletons,
     weak_intervals_of_qnode,
@@ -67,7 +78,7 @@ def test_identity_tree_is_single_q():
         assert tree.root.kind == "Q"
         assert all(c.is_leaf for c in tree.root.children)
         assert len(tree.root.children) == n
-        assert tree.num_common_intervals() == n * (n + 1) // 2
+        assert count_b_nested_common(tree, n, 1) == n * (n + 1) // 2
 
 
 def test_reversal_tree_is_single_q():
@@ -80,7 +91,7 @@ def test_reversal_tree_is_single_q():
 def test_single_element_tree():
     tree = build_pqtree(core.normalize([[1]]))
     assert tree.root.is_leaf and tree.root.interval == core.Interval(1, 1)
-    assert tree.num_common_intervals() == 1
+    assert count_b_nested_common(tree, 1, 1) == 1
 
 
 def test_is_common_matches_oracle(gold_common_pset):
@@ -130,7 +141,7 @@ def _assert_tree_invariants(pset, tree: PQTree, fam: set):
             for d in range(a + 1, len(kids)):
                 regenerated.add(core.Interval(kids[a].interval.lo, kids[d].interval.hi))
     assert regenerated == fam
-    assert tree.num_common_intervals() == len(fam)
+    assert count_b_nested_common(tree, tree.n, 1) == len(fam)
     # P label minimality: no proper run of >= 2 successive children is common
     for nd in nodes:
         kids = nd.children
@@ -172,3 +183,39 @@ def test_generator_is_canonical():
         if K == 1:
             assert posmat.shape[0] == 0
         assert canonical_generator(posmat, n) == canonical_bounds(oracle.all_common(pset), n)
+
+
+def test_assemble_rejects_pairs_that_never_close():
+    # Every position is its own strong pair: three leaves and no root.
+    def leaf(i, j, kids):
+        return PQNode(i + 1, j + 1, "LEAF")
+
+    with pytest.raises(InternalStructureError):
+        _assemble([0, 1, 2], [0, 1, 2], 3, leaf)
+    assert bnest.InternalStructureError is InternalStructureError
+    assert conserved_tree.InternalStructureError is InternalStructureError
+
+
+def test_mirror_is_an_involution():
+    rng = random.Random(404)
+    for n in (1, 2, 5, 40):
+        X = [rng.randrange(n) for _ in range(n)]
+        assert mirror(X, n) == [n - 1 - X[n - 1 - k] for k in range(n)]
+        assert mirror(mirror(X, n), n) == X
+
+
+def test_strong_bounds_match_their_definition():
+    """lo and hi (the mirror image of the lo sweep) against the formulas of
+    the pqtree docstring, on canonical generators of both families."""
+    rng = random.Random(505)
+    for t in range(80):
+        n = rng.randint(2, 40)
+        if t % 2:
+            pset = core.normalize(random_framed_raw(rng, n, rng.randint(2, 4)), signed=True)
+            R, L = _conserved_generator(pset)
+        else:
+            pset = core.normalize(random_unsigned_raw(rng, n, rng.randint(2, 4)))
+            R, L = canonical_generator(position_matrix(pset.perms), n)
+        lo = [max([L[j]] + [i for i in range(j + 1) if R[i] > j]) for j in range(n)]
+        hi = [min([R[i]] + [j for j in range(i, n) if L[j] < i]) for i in range(n)]
+        assert _strong_bounds(R, L, n) == (lo, hi)
