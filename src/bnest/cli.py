@@ -14,11 +14,11 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, compress
 
 from . import core, oracle
-from .common_enum import ScanStats, count_b_nested_common, enumerate_b_nested_common
-from .conserved_enum import count_b_nested_conserved, enumerate_b_nested_conserved
+from .common_enum import ScanStats, _common_runs, count_b_nested_common, enumerate_b_nested_common
+from .conserved_enum import _conserved_runs, count_b_nested_conserved, enumerate_b_nested_conserved
 from .conserved_tree import build_conserved_tree
 from .pqtree import build_pqtree
 
@@ -69,25 +69,41 @@ def _load_pset(config: RunConfig) -> core.PermutationSet:
     return pset
 
 
-def _emit_intervals(intervals, pset, config: RunConfig, out) -> int:
-    """Write a "lo hi" line per (lo, hi) pair from per-label "name " and
-    "name\\n" tables, joined in chunks of _WRITE_CHUNK lines; returns how many."""
+def _by_left_end(runs, n: int):
+    """The runs regrouped as one run per left end, ascending.  The runs of a
+    shared left end are sorted together once; they arrive in ascending order
+    (nested nodes, inner first), so timsort's pass over them is linear."""
+    slots = [None] * (n + 1)
+    shared = {}  # lo -> every run of that left end, once it has two
+    for lo, ends in runs:
+        if slots[lo] is not None:
+            shared.setdefault(lo, [slots[lo]]).append(ends)
+        slots[lo] = ends
+    for lo, parts in shared.items():
+        slots[lo] = sorted(chain.from_iterable(parts))
+    return compress(enumerate(slots), slots)  # runs are never empty
+
+
+def _emit_intervals(runs, pset, config: RunConfig, out) -> int:
+    """Write a "lo hi" line per interval of the (lo, ends) runs, each run one join
+    of per-label "name " and "name\\n" strings, about _WRITE_CHUNK lines per write."""
     if config.sort:
-        intervals = sorted(intervals)
+        runs = _by_left_end(runs, pset.n)
     labels = pset.original_of if config.original_labels else range(pset.n + 1)
     names = list(map(str, labels))
     left = [name + " " for name in names]
     right = [name + "\n" for name in names]
-    it = iter(intervals)
-    count = 0
-    while True:
-        parts = []
-        for lo, hi in islice(it, _WRITE_CHUNK):
-            parts += left[lo], right[hi]
-        if not parts:
-            return count
-        out.write("".join(parts))
-        count += len(parts) // 2
+    parts = []
+    count = written = 0
+    for lo, ends in runs:
+        parts += left[lo], left[lo].join(map(right.__getitem__, ends))
+        count += len(ends)
+        if count - written >= _WRITE_CHUNK:
+            out.write("".join(parts))
+            parts.clear()
+            written = count
+    out.write("".join(parts))
+    return count
 
 
 def _action_tree(config: RunConfig, out) -> int:
@@ -100,13 +116,13 @@ def _action_tree(config: RunConfig, out) -> int:
 def _action_enumerate(config: RunConfig, out) -> int:
     pset = _load_pset(config)
     if config.mode == "common":
-        intervals = enumerate_b_nested_common(build_pqtree(pset), config.b, config.min_size)
+        runs = _common_runs(build_pqtree(pset), config.b, config.min_size)
     else:
-        intervals = enumerate_b_nested_conserved(build_conserved_tree(pset), config.b, config.min_size)
+        runs = _conserved_runs(build_conserved_tree(pset), config.b, config.min_size)
     if config.count_only:
-        out.write(f"{sum(1 for _ in intervals)}\n")
+        out.write(f"{sum(len(ends) for _, ends in runs)}\n")
     else:
-        _emit_intervals(intervals, pset, config, out)
+        _emit_intervals(runs, pset, config, out)
     return EXIT_OK
 
 
@@ -274,7 +290,7 @@ def _action_bench(config: RunConfig, out) -> int:
         stats = ScanStats()
         nocc = sum(1 for _ in enum(tree, config.b, config.min_size, stats=stats))
         t2 = time.perf_counter()
-        out.write(f"{n},{config.K},{config.b},{nocc},"
+        out.write(f"{pset.n},{config.K},{config.b},{nocc},"
                   f"{int((t1 - t0) * 1e6)},{int((t2 - t1) * 1e6)},{stats.iterations}\n")
     return EXIT_OK
 

@@ -22,8 +22,8 @@ restricted to their child segment, which gives a left-to-right scan per
 Q-node: start at each child, extend right while the segment holds at most
 one b-large child and every included b-large child is b-nested.  With the
 next b-large child precomputed, each start jumps to its stop in O(1), a
-bisect on the right ends honours min_size, and the run of ends is emitted in
-bulk as plain (lo, hi) tuples: one step per child plus one per output.
+bisect on the right ends honours min_size, and the run is one (lo, ends) slice
+(flattened by the public enumerator): one step per child plus one per output.
 
 Counting replaces the scan by two closed forms over the child sequence of
 each Q-node: a maximal run of h consecutive b-small children contributes
@@ -82,7 +82,7 @@ def annotate(tree: PQTree) -> None:
     tree.annotated = True
 
 
-def _scan_qnode(node, b, min_size, out, stats):
+def _scan_qnode(node, b, min_size, stats):
     kids = node.children
     m = len(kids)
     his = [c.hi for c in kids]
@@ -105,10 +105,27 @@ def _scan_qnode(node, b, min_size, out, stats):
         start = bisect_left(his, lo + min_size - 1, a + 1, stop)
         k = stop - start
         if k > 0:
-            out.extend(zip(repeat(lo, k), his[start:stop]))
+            yield lo, his[start:stop]
             iters += k
     if stats is not None:
         stats.iterations += iters
+
+
+def _common_runs(tree: PQTree, b: int, min_size: int = 1, stats: ScanStats | None = None):
+    """enumerate_b_nested_common's output, in order, as nonempty (lo, ascending ends) runs."""
+    _check_b(b)
+    if min_size < 1:
+        raise ValueError(f"min_size must be >= 1, got {min_size}")
+    annotate(tree)
+    for node in tree.nodes:
+        if node.is_leaf:
+            if min_size <= 1:
+                yield node.lo, (node.hi,)
+        elif node.kind == "P":
+            if b >= node.bstar and node.size >= min_size:
+                yield node.lo, (node.hi,)
+        else:
+            yield from _scan_qnode(node, b, min_size, stats)
 
 
 def enumerate_b_nested_common(tree: PQTree, b: int, min_size: int = 1, stats: ScanStats | None = None):
@@ -120,21 +137,8 @@ def enumerate_b_nested_common(tree: PQTree, b: int, min_size: int = 1, stats: Sc
     child segment of a Q-node appears in its scan exactly when the node is
     b-nested, so node intervals are never emitted twice.
     """
-    _check_b(b)
-    if min_size < 1:
-        raise ValueError(f"min_size must be >= 1, got {min_size}")
-    annotate(tree)
-    for node in tree.nodes:
-        if node.is_leaf:
-            if min_size <= 1:
-                yield node.lo, node.hi
-        elif node.kind == "P":
-            if b >= node.bstar and node.size >= min_size:
-                yield node.lo, node.hi
-        else:
-            out = []
-            _scan_qnode(node, b, min_size, out, stats)
-            yield from out
+    for lo, ends in _common_runs(tree, b, min_size, stats):
+        yield from zip(repeat(lo), ends)
 
 
 def qnode_count_parts(node: PQNode, b: int) -> tuple:

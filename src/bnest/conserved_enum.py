@@ -26,8 +26,8 @@ per b.
 Enumeration scans each node's frontiers.  With the next gap step
 precomputed, each start jumps in O(1) to its last end (the frontier opening
 the first bad gap, or the next gap past one good gap), a bisect honours
-min_size, and the run of ends is emitted in bulk as plain (lo, hi) tuples;
-the full pair is left out, and the node interval follows when b-nested.
+min_size, and the run is one (lo, ends) slice (flattened by the public
+enumerator); the full pair is left out, the node interval follows if b-nested.
 
 Counting uses per-node closed forms: a maximal run of h consecutive small
 steps holds h*(h+1)/2 pairs, and the pairs whose single gap is the good gap
@@ -72,21 +72,15 @@ def annotate_conserved(tree: ConservedTree) -> None:
     tree.annotated = True
 
 
-def enumerate_b_nested_conserved(tree: ConservedTree, b: int, min_size: int = 1,
-                                 stats: ScanStats | None = None):
-    """Yield each b-nested conserved interval of size >= min_size once, as (lo, hi).
-
-    Order: singletons first when min_size is 1, then post-order over nodes,
-    per node the admissible frontier pairs in lexicographic index order with
-    the full pair excluded, then the node interval itself when b-nested.
-    """
+def _conserved_runs(tree: ConservedTree, b: int, min_size: int = 1, stats: ScanStats | None = None):
+    """enumerate_b_nested_conserved's output, in order, as nonempty (lo, ascending ends) runs."""
     _check_b(b)
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
     annotate_conserved(tree)
     if min_size <= 1:
         units = range(1, tree.n + 1)
-        yield from zip(units, units)
+        yield from zip(units, zip(units))
     node_min = max(2, min_size)
     iters = 0
     for node in tree.nodes:
@@ -110,11 +104,23 @@ def enumerate_b_nested_conserved(tree: ConservedTree, b: int, min_size: int = 1,
             k = last + 1 - start
             if k > 0:
                 iters += k
-                yield from zip(repeat(lo, k), f[start:last + 1])
+                yield lo, f[start:last + 1]
         if b >= node.bstar and node.size >= node_min:
-            yield node.lo, node.hi
+            yield node.lo, (node.hi,)
     if stats is not None:
         stats.iterations += iters
+
+
+def enumerate_b_nested_conserved(tree: ConservedTree, b: int, min_size: int = 1,
+                                 stats: ScanStats | None = None):
+    """Yield each b-nested conserved interval of size >= min_size once, as (lo, hi).
+
+    Order: singletons first when min_size is 1, then post-order over nodes,
+    per node the admissible frontier pairs in lexicographic index order with
+    the full pair excluded, then the node interval itself when b-nested.
+    """
+    for lo, ends in _conserved_runs(tree, b, min_size, stats):
+        yield from zip(repeat(lo), ends)
 
 
 def node_count_parts(node: ConservedNode, b: int) -> tuple:

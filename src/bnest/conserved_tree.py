@@ -154,7 +154,7 @@ def build_conserved_tree(pset: PermutationSet) -> ConservedTree:
         return node
 
     lo, hi = _strong_bounds(R, L, n)
-    return ConservedTree(_assemble(lo, hi, n, make), R, L, pset)
+    return ConservedTree(_assemble(lo, hi, n, make), R, L, n)
 
 
 def irreducible_conserved_intervals(tree: ConservedTree) -> list:

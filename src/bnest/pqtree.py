@@ -72,11 +72,10 @@ class StrongTree:
     so reference counting frees it without waiting for a full GC pass.
     `annotated` records that the b-nesting thresholds are set on the nodes."""
 
-    def __init__(self, nodes: list, R: list, L: list, pset: PermutationSet):
+    def __init__(self, nodes: list, R: list, L: list, n: int):
         self.root = nodes[-1]
         self.nodes = nodes  # post-order
-        self.n = pset.n
-        self.pset = pset
+        self.n = n
         self._R = R
         self._L = L
         self.annotated = False
@@ -226,4 +225,4 @@ def build_pqtree(pset: PermutationSet) -> PQTree:
         a, b = kids[0].lo - 1, kids[1].hi - 1  # Q iff the first two children merge
         return PQNode(i + 1, j + 1, "Q" if b <= R[a] and L[b] <= a else "P", kids)
 
-    return PQTree(_assemble(lo, hi, n, make), R, L, pset)
+    return PQTree(_assemble(lo, hi, n, make), R, L, n)

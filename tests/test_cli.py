@@ -13,6 +13,8 @@ import sys
 import pytest
 
 from bnest import cli, core, oracle
+from bnest.common_enum import enumerate_b_nested_common
+from bnest.conserved_enum import enumerate_b_nested_conserved
 from bnest.conserved_tree import build_conserved_tree
 from bnest.pqtree import build_pqtree
 from conftest import GOLD_COMMON_RAW, GOLD_CONSERVED_RAW, random_framed_raw, random_unsigned_raw
@@ -299,6 +301,87 @@ def test_bench_csv_shape(capsys):
     for line in lines[1:]:
         cells = line.split(",")
         assert len(cells) == 7 and all(int(c) >= 0 for c in cells)
+
+
+def test_bench_conserved_reports_the_framed_n(capsys):
+    """A conserved bench instance is framed by two sentinels, so --sizes 5
+    builds and reports n = 7."""
+    code, out = _run(capsys, ["bench", "--sizes", "5", "--mode", "conserved", "--b", "2"])
+    assert code == 0
+    assert out.splitlines()[1].startswith("7,")
+
+
+def _reversals_raw(rng: random.Random, n: int, K: int, signed: bool) -> list:
+    """The identity and K-1 near-identity rows, each from n // 10 block
+    reversals of 2..24 elements (negated and inside the frame +1 ... +n when
+    signed).  Intervals nest deeply, so many enumerator runs share a left end."""
+    raw = [list(range(1, n + 1))]
+    for _ in range(K - 1):
+        row = list(range(1, n + 1))
+        for _ in range(n // 10):
+            length = rng.randint(2, 24)
+            a = rng.randint(1, n - 1 - length) if signed else rng.randint(0, n - length)
+            block = row[a:a + length][::-1]
+            row[a:a + length] = [-v for v in block] if signed else block
+        raw.append(row)
+    return raw
+
+
+def _reversal_instances(tmp_path, mode: str) -> list:
+    """Three (path, pset) pairs with n in 100..300 and random original labels."""
+    rng = random.Random(7117 if mode == "common" else 7118)
+    out = []
+    for idx in range(3):
+        n = rng.randint(100, 300)
+        names = rng.sample(range(1, 10 * n), n)
+        raw = [[names[abs(x) - 1] * (1 if x > 0 else -1) for x in row]
+               for row in _reversals_raw(rng, n, 3, mode == "conserved")]
+        pset = core.normalize(raw, signed=True if mode == "conserved" else None)
+        out.append((_write(tmp_path, f"rev{idx}.txt", raw), pset))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+@pytest.mark.parametrize("mode", ["common", "conserved"])
+def test_enumerate_writes_the_library_order_and_its_sort(capsys, tmp_path, monkeypatch, mode, chunk):
+    """Plain enumerate writes the library's yield order and --sort writes
+    sorted() of it, on instances where runs sharing a left end interleave
+    with other runs; chunk sizes 1 and 3 make runs cross write boundaries."""
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_WRITE_CHUNK", chunk)
+    shared = 0
+    for path, pset in _reversal_instances(tmp_path, mode):
+        if mode == "common":
+            tree, enum = build_pqtree(pset), enumerate_b_nested_common
+        else:
+            tree, enum = build_conserved_tree(pset), enumerate_b_nested_conserved
+        for b in (1, 3, 16):
+            for ms in (1, 2):
+                seq = list(enum(tree, b, ms))
+                starts = [lo for lo, _ in itertools.groupby(seq, key=lambda iv: iv[0])]
+                shared += len(starts) > len(set(starts))
+                for sort, original in itertools.product((False, True), repeat=2):
+                    names = pset.original_of if original else range(pset.n + 1)
+                    want = "".join(f"{names[lo]} {names[hi]}\n"
+                                   for lo, hi in (sorted(seq) if sort else seq))
+                    argv = ["enumerate", "--mode", mode, "--b", str(b), "--min-size", str(ms)]
+                    argv += ["--sort"] * sort + ["--original-labels"] * original
+                    code, out = _run(capsys, argv + [path])
+                    assert (code, out) == (0, want), (mode, b, ms, sort, original)
+    assert shared >= 3 * 3  # at least half the variants split a left end's runs
+
+
+@pytest.mark.parametrize("mode", ["common", "conserved"])
+def test_count_only_equals_count(capsys, tmp_path, mode):
+    """enumerate --count-only sums the run lengths; count uses closed forms."""
+    for path, _ in _reversal_instances(tmp_path, mode):
+        for b in ("1", "2", "16"):
+            for ms in ("1", "2"):
+                args = ["--mode", mode, "--b", b, "--min-size", ms, path]
+                code, counted = _run(capsys, ["count"] + args)
+                code2, listed = _run(capsys, ["enumerate", "--count-only"] + args)
+                assert code == code2 == 0
+                assert counted == listed and int(counted) > 0
 
 
 def test_count_equals_enumerate_across_flags(capsys, tmp_path):
