@@ -408,6 +408,9 @@ def main(argv=None) -> int:
             if value < low:  # bench has no --n; its n keeps the default 1
                 print(f"error: {flag} must be >= {low}", file=sys.stderr)
                 return EXIT_VALIDATION
+        if config.action == "bench" and min(config.sizes, default=0) < 1:
+            print("error: --sizes must list one or more sizes >= 1", file=sys.stderr)
+            return EXIT_VALIDATION
     return run(config)
 
 

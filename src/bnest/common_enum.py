@@ -14,8 +14,7 @@ children first:
           most one child is b-large (size > b) and any such child is itself
           b-nested.
 
-The pass runs once per tree; the readers below test b >= bstar, so a sweep
-over many b costs one pass plus one scan or count per b.
+The pass runs once per tree, and the readers below test b >= bstar.
 
 Weak intervals (unions of >= 2 consecutive Q-children) follow the Q rule
 restricted to their child segment, which gives a left-to-right scan per
@@ -25,19 +24,23 @@ next b-large child precomputed, each start jumps to its stop in O(1), a
 bisect on the right ends honours min_size, and the run is one (lo, ends) slice
 (flattened by the public enumerator): one step per child plus one per output.
 
-Counting replaces the scan by two closed forms over the child sequence of
-each Q-node: a maximal run of h consecutive b-small children contributes
-h*(h-1)/2 segment pairs, and each b-large b-nested child with l (resp. r)
-b-small neighbors immediately left (right) contributes l*(r+1)+r pairs
-spanning it.  The full child segment is one of those pairs exactly when the
-node is b-nested, so the node interval is never added separately for
-Q-nodes; P-nodes and leaves add 1 when b-nested.
+Counting treats a Q-node, like a conserved node (conserved_enum), as a
+sequence of steps with a width w and a threshold tau, here each child's
+size and bstar.  At b a step is a gap if w > b, good if also b >= tau; a
+maximal run of h plain steps gives h*(h+1)/2 - d*h weak intervals and a good
+gap with l and r plain neighbours (l+1)*(r+1) - d, where d = 1 as a single
+child is no weak interval.  The full segment is among them iff the node is
+b-nested, so Q-nodes add no node term; P-nodes add 1 from bstar on.  A node
+whose widest step is <= b is closed and adds its all-plain constant, so one
+index per tree keeps closing points with prefix sums: a count at b is one
+bisect plus the wide (w >= 2) steps of the nodes wider than b.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
+from operator import itemgetter
 
 from .pqtree import PQNode, PQTree
 
@@ -141,28 +144,77 @@ def enumerate_b_nested_common(tree: PQTree, b: int, min_size: int = 1, stats: Sc
         yield from zip(repeat(lo), ends)
 
 
-def qnode_count_parts(node: PQNode, b: int) -> tuple:
-    """Closed-form count pieces for one Q-node of an annotated tree.
+def _step_terms(steps, h: int, b: int, d: int) -> tuple:
+    """(gap_terms, run_terms) of one node with h steps at b, given its
+    (t, w, tau) in step order, at least those with w > b."""
+    runs = []  # plain run lengths: one before each gap, one last
+    good = []  # per gap: is it good
+    last = -1
+    for t, w, tau in steps:
+        if w > b:
+            runs.append(t - last - 1)
+            good.append(b >= tau)
+            last = t
+    runs.append(h - 1 - last)
+    gap_terms = [(runs[g] + 1) * (runs[g + 1] + 1) - d for g, ok in enumerate(good) if ok]
+    run_terms = [x * (x + 1) // 2 - d * x for x in runs if x]
+    return gap_terms, run_terms
 
-    Returns (large_terms, run_terms): one l*(r+1)+r term per b-large
-    b-nested child, one h*(h-1)/2 term per maximal run of h consecutive
-    b-small children.  Their sum equals the node's scan output with
-    min_size <= 2.
-    """
-    runs = []  # b-small run lengths: one before each b-large child, one last
-    nested = []  # per b-large child: is it b-nested
-    h = 0
-    for c in node.children:
-        if c.size <= b:
-            h += 1
-        else:
-            runs.append(h)
-            nested.append(b >= c.bstar)
-            h = 0
-    runs.append(h)
-    large_terms = [runs[g] * (runs[g + 1] + 1) + runs[g + 1] for g, ok in enumerate(nested) if ok]
-    run_terms = [h * (h - 1) // 2 for h in runs if h]
-    return large_terms, run_terms
+
+def _count(tree, b: int, min_size: int, steps) -> int:
+    """Both counters.  steps(tree) gives (breaks, step_nodes, d): (bstar, 1)
+    per P-node and (h, wide) per Q or conserved node, wide its steps with
+    w >= 2.  They become the tree's index once: sorted closing points with
+    prefix sums over a base of the nodes with no wide step, and the nodes
+    with one sorted by width."""
+    _check_b(b)
+    if min_size not in (1, 2):
+        raise ValueError(f"count supports min_size 1 or 2, got {min_size}")
+    index = getattr(tree, "step_index", None)
+    if index is None:
+        breaks, step_nodes, d = steps(tree)
+        opens = []
+        base = 0  # the nodes of width 1, closed at every b
+        for h, wide in step_nodes:
+            closed = h * (h + 1) // 2 - d * h
+            if wide:
+                width = max([w for _, w, _ in wide])
+                breaks.append((width, closed))
+                opens.append((width, h, wide))
+            else:
+                base += closed
+        breaks.sort()
+        opens.sort(key=itemgetter(0))
+        prefix = list(accumulate([v for _, v in breaks], initial=base))
+        index = tree.step_index = (breaks, prefix, opens, d)
+    breaks, prefix, opens, d = index
+    total = (tree.n if min_size == 1 else 0) + prefix[bisect_right(breaks, b, key=itemgetter(0))]
+    for _, h, wide in opens[bisect_right(opens, b, key=itemgetter(0)):]:
+        gap_terms, run_terms = _step_terms(wide, h, b, d)
+        total += sum(gap_terms) + sum(run_terms)
+    return total
+
+
+def qnode_count_parts(node: PQNode, b: int) -> tuple:
+    """Count pieces of one Q-node of an annotated tree: (large_terms,
+    run_terms), l*(r+1)+r per b-large b-nested child and h*(h-1)/2 per run
+    of h b-small children, summing to its scan output at min_size <= 2."""
+    kids = node.children
+    return _step_terms([(t, c.size, c.bstar) for t, c in enumerate(kids)], len(kids), b, 1)
+
+
+def _common_steps(tree: PQTree) -> tuple:
+    annotate(tree)
+    breaks, step_nodes = [], []
+    for node in tree.nodes:
+        kids = node.children
+        if node.kind == "P":
+            breaks.append((node.bstar, 1))
+        elif kids:  # the child sizes sum to size: all are leaves when size == h
+            h = len(kids)
+            step_nodes.append((h, [(t, c.size, c.bstar) for t, c in enumerate(kids) if c.size > 1]
+                               if node.size > h else ()))
+    return breaks, step_nodes, 1
 
 
 def count_b_nested_common(tree: PQTree, b: int, min_size: int = 1) -> int:
@@ -172,18 +224,4 @@ def count_b_nested_common(tree: PQTree, b: int, min_size: int = 1) -> int:
     differ only by the n singletons); larger thresholds would need the
     enumeration path.
     """
-    _check_b(b)
-    if min_size not in (1, 2):
-        raise ValueError(f"count supports min_size 1 or 2, got {min_size}")
-    annotate(tree)
-    total = tree.n if min_size == 1 else 0
-    for node in tree.nodes:
-        if node.is_leaf:
-            continue
-        if node.kind == "P":
-            if b >= node.bstar:
-                total += 1
-        else:
-            large_terms, run_terms = qnode_count_parts(node, b)
-            total += sum(large_terms) + sum(run_terms)
-    return total
+    return _count(tree, b, min_size, _common_steps)

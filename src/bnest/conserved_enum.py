@@ -20,8 +20,7 @@ size z_t is plain or a good gap iff b >= tau_t, where
 
 the second-largest term saying that at most one step may be a gap.  A step
 is plain iff b >= z_t - 1, a good gap iff z_t - 1 > b >= tau_t, and a bad
-gap otherwise, so a sweep over many b costs one pass plus one scan or count
-per b.
+gap otherwise.
 
 Enumeration scans each node's frontiers.  With the next gap step
 precomputed, each start jumps in O(1) to its last end (the frontier opening
@@ -29,19 +28,21 @@ the first bad gap, or the next gap past one good gap), a bisect honours
 min_size, and the run is one (lo, ends) slice (flattened by the public
 enumerator); the full pair is left out, the node interval follows if b-nested.
 
-Counting uses per-node closed forms: a maximal run of h consecutive small
-steps holds h*(h+1)/2 pairs, and the pairs whose single gap is the good gap
-g number (l+1)*(r+1), with l and r the lengths of the small runs flanking g.
-Those two families partition all admissible pairs including the full one,
-so the totals match enumeration with no separate node term.
+Counting runs common_enum's step counter with w_t = z_t - 1 and d = 0: a
+maximal run of h plain steps holds h*(h+1)/2 pairs and a good gap with l
+and r plain neighbours (l+1)*(r+1), the full pair included, so the node
+interval needs no separate term.  A node whose widest step is <= b is
+closed and adds h*(h+1)/2 for its h steps; a count sums the closed nodes
+by one bisect and the steps of the nodes wider than b.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import repeat
+from operator import sub
 
 from .conserved_tree import ConservedNode, ConservedTree
-from .common_enum import ScanStats, _check_b
+from .common_enum import ScanStats, _check_b, _count, _step_terms
 
 
 def annotate_conserved(tree: ConservedTree) -> None:
@@ -124,28 +125,22 @@ def enumerate_b_nested_conserved(tree: ConservedTree, b: int, min_size: int = 1,
 
 
 def node_count_parts(node: ConservedNode, b: int) -> tuple:
-    """Closed-form count pieces for one node of an annotated tree.
+    """Count pieces of one node of an annotated tree: (gap_terms,
+    run_terms), (l+1)*(r+1) per good gap and h*(h+1)/2 per run of h small
+    steps, counting every admissible pair, the full one included."""
+    f, tau = node.frontiers, node.tau
+    return _step_terms([(t, f[t + 1] - f[t], tau[t]) for t in range(len(tau))], len(tau), b, 0)
 
-    Returns (gap_terms, run_terms): (l+1)*(r+1) per good gap, h*(h+1)/2 per
-    maximal run of h small steps.  Together they count every admissible
-    pair, the full one included, so the node interval needs no extra term.
-    """
-    f = node.frontiers
-    tau = node.tau
-    runs = []  # small-step run lengths: one before each gap, one last
-    good = []  # per gap: is it good
-    h = 0
-    for t in range(len(f) - 1):
-        if f[t + 1] - f[t] <= b:
-            h += 1
-        else:
-            runs.append(h)
-            good.append(b >= tau[t])
-            h = 0
-    runs.append(h)
-    gap_terms = [(runs[g] + 1) * (runs[g + 1] + 1) for g, ok in enumerate(good) if ok]
-    run_terms = [h * (h + 1) // 2 for h in runs if h]
-    return gap_terms, run_terms
+
+def _conserved_steps(tree: ConservedTree) -> tuple:
+    annotate_conserved(tree)
+    step_nodes = []
+    for node in tree.nodes:
+        f, tau = node.frontiers, node.tau
+        h = len(tau)  # the widths sum to size - 1: all are 1 when size - 1 == h
+        step_nodes.append((h, [(t, w, tau[t]) for t, w in enumerate(map(sub, f[1:], f)) if w > 1]
+                           if node.size - 1 > h else ()))
+    return [], step_nodes, 0
 
 
 def count_b_nested_conserved(tree: ConservedTree, b: int, min_size: int = 1) -> int:
@@ -154,12 +149,4 @@ def count_b_nested_conserved(tree: ConservedTree, b: int, min_size: int = 1) -> 
     Supports min_size 1 and 2 (frontier pairs always have size >= 2, so the
     two differ only by the n singletons).
     """
-    _check_b(b)
-    if min_size not in (1, 2):
-        raise ValueError(f"count supports min_size 1 or 2, got {min_size}")
-    annotate_conserved(tree)
-    total = tree.n if min_size == 1 else 0
-    for node in tree.nodes:
-        gap_terms, run_terms = node_count_parts(node, b)
-        total += sum(gap_terms) + sum(run_terms)
-    return total
+    return _count(tree, b, min_size, _conserved_steps)

@@ -231,6 +231,9 @@ def test_oracle_check_diff_prints_ranges(capsys, gold_common_file, monkeypatch):
     ["gen", "--n", "5", "--k", "2", "--model", "planted-nested", "--span", "-4"],
     ["bench", "--sizes", "10", "--depth", "0"],
     ["bench", "--sizes", "10", "--k", "0"],
+    ["bench", "--sizes", "0"],
+    ["bench", "--sizes", "-3"],
+    ["bench", "--sizes", ","],
 ])
 def test_bad_generator_flags_exit_validation(capsys, argv):
     assert cli.main(argv) == cli.EXIT_VALIDATION
