@@ -4,8 +4,8 @@
 Subcommands: tree, enumerate, count, oracle-check, gen, bench.  All interval
 output is in renumbered space (the first input permutation becomes the
 identity); --original-labels maps interval endpoints back through the
-recorded relabeling.  Exit codes: 0 ok, 1 validation error, 2 oracle
-mismatch, 3 I/O error.
+recorded relabeling.  Exit codes: 0 ok, 1 validation or usage error, 2
+oracle mismatch, 3 I/O error.
 """
 from __future__ import annotations
 
@@ -321,6 +321,15 @@ def run(config: RunConfig, out=None) -> int:
         return EXIT_IO
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1 (validation), not
+    argparse's 2, which bnest documents as an oracle mismatch."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def _add_common_flags(sub):
     sub.add_argument("--mode", choices=("common", "conserved"), default="common")
     sub.add_argument("--b", type=int, default=1, help="nesting slack, >= 1")
@@ -331,8 +340,7 @@ def _add_common_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bnest",
-                                     description="b-nested common and conserved intervals")
+    parser = _Parser(prog="bnest", description="b-nested common and conserved intervals")
     subs = parser.add_subparsers(dest="action", required=True)
 
     p = subs.add_parser("tree", help="print the interval tree")
@@ -390,7 +398,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         try:
             fields["sizes"] = tuple(int(tok) for tok in args.sizes.split(",") if tok.strip())
         except ValueError:
-            raise SystemExit(f"error: bad --sizes value {args.sizes!r}")
+            raise ValueError(f"bad --sizes value {args.sizes!r}") from None
     if hasattr(args, "input"):
         fields["input_path"] = args.input
     return RunConfig(**fields)
@@ -398,19 +406,20 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
-    if config.b < 1:
-        print("error: --b must be >= 1", file=sys.stderr)
+    try:
+        config = config_from_args(args)
+        if config.b < 1:
+            raise ValueError("--b must be >= 1")
+        if config.action in ("gen", "bench"):
+            for flag, value, low in (("--n", config.n, 1), ("--k", config.K, 1),
+                                     ("--depth", config.depth, 1), ("--span", config.span, 2)):
+                if value < low:  # bench has no --n; its n keeps the default 1
+                    raise ValueError(f"{flag} must be >= {low}")
+            if config.action == "bench" and min(config.sizes, default=0) < 1:
+                raise ValueError("--sizes must list one or more sizes >= 1")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if config.action in ("gen", "bench"):
-        for flag, value, low in (("--n", config.n, 1), ("--k", config.K, 1),
-                                 ("--depth", config.depth, 1), ("--span", config.span, 2)):
-            if value < low:  # bench has no --n; its n keeps the default 1
-                print(f"error: {flag} must be >= {low}", file=sys.stderr)
-                return EXIT_VALIDATION
-        if config.action == "bench" and min(config.sizes, default=0) < 1:
-            print("error: --sizes must list one or more sizes >= 1", file=sys.stderr)
-            return EXIT_VALIDATION
     return run(config)
 
 

@@ -16,24 +16,25 @@ children first:
 
 The pass runs once per tree, and the readers below test b >= bstar.
 
-Weak intervals (unions of >= 2 consecutive Q-children) follow the Q rule
-restricted to their child segment, which gives a left-to-right scan per
-Q-node: start at each child, extend right while the segment holds at most
-one b-large child and every included b-large child is b-nested.  With the
-next b-large child precomputed, each start jumps to its stop in O(1), a
-bisect on the right ends honours min_size, and the run is one (lo, ends) slice
-(flattened by the public enumerator): one step per child plus one per output.
+One step scan (_scan) enumerates both families.  A node is a sequence of
+steps over ascending ends f: step t spans (f[t]+d .. f[t+1]), has width
+w_t = f[t+1] - f[t] and threshold tau_t, and is a gap at b if w_t > b.  A
+Q-node's steps are its children (f = lo - 1 then the child his, tau their
+bstar, d = 1, since weak intervals are unions of >= 2 consecutive
+children); a conserved node's are its frontier steps (conserved_enum,
+d = 0).  A run of steps is b-nested iff it holds at most one gap, and that
+one good (b >= tau).  With the next gap precomputed, each start jumps to its
+last end in O(1), a bisect on the ends honours min_size, and the run is one
+(lo, ends) slice (flattened by the public enumerators): one step per start
+plus one per output.
 
-Counting treats a Q-node, like a conserved node (conserved_enum), as a
-sequence of steps with a width w and a threshold tau, here each child's
-size and bstar.  At b a step is a gap if w > b, good if also b >= tau; a
-maximal run of h plain steps gives h*(h+1)/2 - d*h weak intervals and a good
-gap with l and r plain neighbours (l+1)*(r+1) - d, where d = 1 as a single
-child is no weak interval.  The full segment is among them iff the node is
-b-nested, so Q-nodes add no node term; P-nodes add 1 from bstar on.  A node
-whose widest step is <= b is closed and adds its all-plain constant, so one
-index per tree keeps closing points with prefix sums: a count at b is one
-bisect plus the wide (w >= 2) steps of the nodes wider than b.
+Counting uses the same steps.  At b a maximal run of h plain steps gives
+h*(h+1)/2 - d*h weak intervals and a good gap with l and r plain neighbours
+(l+1)*(r+1) - d.  The full segment is among them iff the node is b-nested,
+so Q-nodes add no node term; P-nodes add 1 from bstar on.  A node whose
+widest step is <= b is closed and adds its all-plain constant, so one index
+per tree keeps closing points with prefix sums: a count at b is one bisect
+plus the wide (w >= 2) steps of the nodes wider than b.
 """
 from __future__ import annotations
 
@@ -85,33 +86,30 @@ def annotate(tree: PQTree) -> None:
     tree.annotated = True
 
 
-def _scan_qnode(node, b, min_size, stats):
-    kids = node.children
-    m = len(kids)
-    his = [c.hi for c in kids]
-    next_large = [m] * (m + 1)  # least index >= t of a b-large child, else m
-    for t in range(m - 1, -1, -1):
-        next_large[t] = t if kids[t].size > b else next_large[t + 1]
-    iters = m
-    for a in range(m):
-        kid = kids[a]
-        d = next_large[a + 1]
-        if kid.size > b:
-            if b < kid.bstar:
-                continue
-            stop = d
-        elif d < m and b >= kids[d].bstar:
-            stop = next_large[d + 1]
-        else:
-            stop = d
-        lo = kid.lo
-        start = bisect_left(his, lo + min_size - 1, a + 1, stop)
-        k = stop - start
+def _scan(f, tau, b, min_size, d, full_last=False):
+    """Yield the nonempty runs of one node's steps at b, one (f[a] + d,
+    ends) per start step a, and return the scan work.  full_last leaves out
+    the full run (a conserved node emits its own interval after its pairs)."""
+    s = len(tau)
+    next_gap = [s] * (s + 1)  # least step index >= t that is a gap, else s
+    gap = s
+    for t in range(s - 1, -1, -1):
+        if f[t + 1] - f[t] > b:
+            gap = t
+        next_gap[t] = gap
+    iters = s
+    for a in range(s):
+        p = next_gap[a]
+        stop = next_gap[p + 1] if p < s and b >= tau[p] else p
+        if full_last and a == 0 and stop == s:
+            stop -= 1
+        lo = f[a] + d
+        start = bisect_left(f, lo + min_size - 1, a + 1 + d, stop + 1)
+        k = stop + 1 - start
         if k > 0:
-            yield lo, his[start:stop]
             iters += k
-    if stats is not None:
-        stats.iterations += iters
+            yield lo, f[start:stop + 1]
+    return iters
 
 
 def _common_runs(tree: PQTree, b: int, min_size: int = 1, stats: ScanStats | None = None):
@@ -120,15 +118,20 @@ def _common_runs(tree: PQTree, b: int, min_size: int = 1, stats: ScanStats | Non
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
     annotate(tree)
+    iters = 0
     for node in tree.nodes:
-        if node.is_leaf:
+        kids = node.children
+        if not kids:
             if min_size <= 1:
                 yield node.lo, (node.hi,)
         elif node.kind == "P":
             if b >= node.bstar and node.size >= min_size:
                 yield node.lo, (node.hi,)
         else:
-            yield from _scan_qnode(node, b, min_size, stats)
+            f = [node.lo - 1] + [c.hi for c in kids]
+            iters += yield from _scan(f, [c.bstar for c in kids], b, min_size, 1)
+    if stats is not None:
+        stats.iterations += iters
 
 
 def enumerate_b_nested_common(tree: PQTree, b: int, min_size: int = 1, stats: ScanStats | None = None):

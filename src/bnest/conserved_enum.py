@@ -22,11 +22,9 @@ the second-largest term saying that at most one step may be a gap.  A step
 is plain iff b >= z_t - 1, a good gap iff z_t - 1 > b >= tau_t, and a bad
 gap otherwise.
 
-Enumeration scans each node's frontiers.  With the next gap step
-precomputed, each start jumps in O(1) to its last end (the frontier opening
-the first bad gap, or the next gap past one good gap), a bisect honours
-min_size, and the run is one (lo, ends) slice (flattened by the public
-enumerator); the full pair is left out, the node interval follows if b-nested.
+Enumeration runs common_enum's step scan over each node's frontiers
+(f = frontiers, tau, d = 0), with the full pair held back: the node
+interval follows its pairs if b-nested.
 
 Counting runs common_enum's step counter with w_t = z_t - 1 and d = 0: a
 maximal run of h plain steps holds h*(h+1)/2 pairs and a good gap with l
@@ -37,12 +35,11 @@ by one bisect and the steps of the nodes wider than b.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import repeat
 from operator import sub
 
 from .conserved_tree import ConservedNode, ConservedTree
-from .common_enum import ScanStats, _check_b, _count, _step_terms
+from .common_enum import ScanStats, _check_b, _count, _scan, _step_terms
 
 
 def annotate_conserved(tree: ConservedTree) -> None:
@@ -85,27 +82,7 @@ def _conserved_runs(tree: ConservedTree, b: int, min_size: int = 1, stats: ScanS
     node_min = max(2, min_size)
     iters = 0
     for node in tree.nodes:
-        f = node.frontiers
-        s = len(f) - 1  # number of steps
-        tau = node.tau
-        next_gap = [s] * (s + 1)  # least step index >= t that is a gap, else s
-        gap = s
-        for t in range(s - 1, -1, -1):
-            if f[t + 1] - f[t] > b:
-                gap = t
-            next_gap[t] = gap
-        iters += s
-        for i in range(s):
-            p = next_gap[i]
-            last = next_gap[p + 1] if p < s and b >= tau[p] else p
-            if i == 0 and last == s:
-                last -= 1  # the full pair is the node interval, emitted below
-            lo = f[i]
-            start = bisect_left(f, lo + min_size - 1, i + 1, last + 1)
-            k = last + 1 - start
-            if k > 0:
-                iters += k
-                yield lo, f[start:last + 1]
+        iters += yield from _scan(node.frontiers, node.tau, b, min_size, 0, full_last=True)
         if b >= node.bstar and node.size >= node_min:
             yield node.lo, (node.hi,)
     if stats is not None:

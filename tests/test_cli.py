@@ -234,12 +234,36 @@ def test_oracle_check_diff_prints_ranges(capsys, gold_common_file, monkeypatch):
     ["bench", "--sizes", "0"],
     ["bench", "--sizes", "-3"],
     ["bench", "--sizes", ","],
+    ["bench", "--sizes", "1,a"],
 ])
 def test_bad_generator_flags_exit_validation(capsys, argv):
     assert cli.main(argv) == cli.EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--b", "x"],
+    ["count", "--min-size", "3"],
+    ["count", "--mode", "foo"],
+    ["frobnicate"],
+    [],
+])
+def test_usage_errors_exit_validation(capsys, argv):
+    """argparse's own exit code 2 would read as an oracle mismatch."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err and "Traceback" not in captured.err
+
+
+def test_help_exits_ok(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "--help"])
+    assert exc.value.code == 0 and "usage: bnest count" in capsys.readouterr().out
 
 
 def test_gen_deterministic(capsys):

@@ -174,6 +174,20 @@ def test_scan_iteration_budget(n, K, seed):
         assert stats.iterations <= 4 * (n + emitted)
 
 
+@pytest.mark.parametrize("b", [1, 2, 3])
+@pytest.mark.parametrize("min_size", [1, 2])
+def test_scan_work_is_steps_plus_scan_output(common_corpus, b, min_size):
+    """The scan work is exactly one step per Q-child plus one per interval a
+    Q scan yields; leaf and P-node intervals are not scan work."""
+    for pset in common_corpus:
+        tree = build_pqtree(pset)
+        stats = ScanStats()
+        got = list(enumerate_b_nested_common(tree, b, min_size, stats=stats))
+        steps = sum(len(nd.children) for nd in tree.nodes if nd.kind == "Q")
+        unscanned = {(nd.lo, nd.hi) for nd in tree.nodes if nd.kind != "Q"}
+        assert stats.iterations == steps + sum(iv not in unscanned for iv in got)
+
+
 def test_monotone_in_b(gold_tree):
     prev = set()
     for b in range(1, 11):

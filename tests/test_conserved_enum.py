@@ -97,6 +97,21 @@ def test_all_positive_identity_everything_nested():
             assert got == set(core.all_intervals(n))
 
 
+@pytest.mark.parametrize("b", [1, 2, 3])
+@pytest.mark.parametrize("min_size", [1, 2])
+def test_scan_work_is_steps_plus_scan_output(conserved_corpus, b, min_size):
+    """The scan work is exactly one step per frontier step plus one per
+    frontier pair a scan yields; units and node intervals are not scan
+    work."""
+    for pset in conserved_corpus:
+        tree = build_conserved_tree(pset)
+        stats = ScanStats()
+        got = list(enumerate_b_nested_conserved(tree, b, min_size, stats=stats))
+        steps = sum(len(nd.frontiers) - 1 for nd in tree.nodes)
+        unscanned = {(nd.lo, nd.hi) for nd in tree.nodes} | {(i, i) for i in range(1, tree.n + 1)}
+        assert stats.iterations == steps + sum(iv not in unscanned for iv in got)
+
+
 def test_monotone_in_b(gold_tree):
     prev = set()
     for b in range(1, 11):
