@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Command-line front end.
 
-Subcommands: tree, enumerate, count, oracle-check, gen, bench.  All interval
+Subcommands: tree, enumerate, count, oracle-check, gen, bench.  A run's config
+is its argparse namespace, checked by `config_from_args`.  All interval
 output is in renumbered space (the first input permutation becomes the
 identity); --original-labels maps interval endpoints back through the
 recorded relabeling.  Exit codes: 0 ok, 1 validation or usage error, 2
@@ -13,7 +14,6 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass
 from itertools import chain, compress
 
 from . import core, oracle
@@ -30,29 +30,6 @@ EXIT_IO = 3
 _WRITE_CHUNK = 1 << 16  # output lines per write
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str = "common"  # or "conserved"
-    action: str = "count"  # tree | enumerate | count | oracle-check | gen | bench
-    b: int = 1
-    min_size: int = 2
-    frame: bool = False
-    sort: bool = False
-    original_labels: bool = False
-    json_out: bool = False
-    count_only: bool = False
-    diff: bool = False
-    seed: int = 0
-    n: int = 1
-    K: int = 1
-    model: str = "uniform"  # or "planted-nested"
-    depth: int = 2
-    span: int = 3
-    signed: bool = False
-    sizes: tuple = ()
-    input_path: str = "-"
-
-
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -60,13 +37,18 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _load_pset(config: RunConfig) -> core.PermutationSet:
-    raw = core.parse_permutations(_read_input(config.input_path))
-    signed = True if config.mode == "conserved" else None
-    pset = core.normalize(raw, signed=signed)
-    if config.mode == "conserved":
-        pset = core.validate_conserved_frame(pset, frame=config.frame)
-    return pset
+def _load_pset(config) -> core.PermutationSet:
+    """The input, normalized: signed in conserved mode, and there wrapped in
+    sentinels under --frame.  `build_conserved_tree` checks the frame."""
+    raw = core.parse_permutations(_read_input(config.input))
+    if config.mode == "common":
+        return core.normalize(raw)
+    pset = core.normalize(raw, signed=True)
+    return core.apply_frame(pset) if config.frame else pset
+
+
+def _tree(config, pset):
+    return build_pqtree(pset) if config.mode == "common" else build_conserved_tree(pset)
 
 
 def _by_left_end(runs, n: int):
@@ -84,7 +66,7 @@ def _by_left_end(runs, n: int):
     return compress(enumerate(slots), slots)  # runs are never empty
 
 
-def _emit_intervals(runs, pset, config: RunConfig, out) -> int:
+def _emit_intervals(runs, pset, config, out) -> int:
     """Write a "lo hi" line per interval of the (lo, ends) runs, each run one join
     of per-label "name " and "name\\n" strings, about _WRITE_CHUNK lines per write."""
     if config.sort:
@@ -106,19 +88,18 @@ def _emit_intervals(runs, pset, config: RunConfig, out) -> int:
     return count
 
 
-def _action_tree(config: RunConfig, out) -> int:
-    pset = _load_pset(config)
-    tree = build_pqtree(pset) if config.mode == "common" else build_conserved_tree(pset)
-    out.write(tree.to_json() + "\n" if config.json_out else tree.to_text() + "\n")
+def _action_tree(config, out) -> int:
+    tree = _tree(config, _load_pset(config))
+    out.write((tree.to_json() if config.json_out else tree.to_text()) + "\n")
     return EXIT_OK
 
 
-def _action_enumerate(config: RunConfig, out) -> int:
+def _action_enumerate(config, out) -> int:
     pset = _load_pset(config)
-    if config.mode == "common":
-        runs = _common_runs(build_pqtree(pset), config.b, config.min_size)
-    else:
-        runs = _conserved_runs(build_conserved_tree(pset), config.b, config.min_size)
+    scan = _common_runs if config.mode == "common" else _conserved_runs
+    # No local holds the tree: the runs keep its last reference, so --sort frees it
+    # before the writer joins its lines.
+    runs = scan(_tree(config, pset), config.b, config.min_size)
     if config.count_only:
         out.write(f"{sum(len(ends) for _, ends in runs)}\n")
     else:
@@ -126,51 +107,59 @@ def _action_enumerate(config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _action_count(config: RunConfig, out) -> int:
-    pset = _load_pset(config)
-    if config.mode == "common":
-        total = count_b_nested_common(build_pqtree(pset), config.b, config.min_size)
-    else:
-        total = count_b_nested_conserved(build_conserved_tree(pset), config.b, config.min_size)
-    out.write(f"{total}\n")
+def _action_count(config, out) -> int:
+    count = count_b_nested_common if config.mode == "common" else count_b_nested_conserved
+    out.write(f"{count(_tree(config, _load_pset(config)), config.b, config.min_size)}\n")
     return EXIT_OK
 
 
-def _action_oracle_check(config: RunConfig, out) -> int:
+def _action_oracle_check(config, out) -> int:
     pset = _load_pset(config)
+    tree = _tree(config, pset)
+    b, min_size = config.b, config.min_size
     if config.mode == "common":
-        tree = build_pqtree(pset)
-        fast = set(enumerate_b_nested_common(tree, config.b, config.min_size))
-        counted = count_b_nested_common(tree, config.b, config.min_size)
-        family = oracle.all_common(pset)
+        enum, count, family = enumerate_b_nested_common, count_b_nested_common, oracle.all_common(pset)
     else:
-        tree = build_conserved_tree(pset)
-        fast = set(enumerate_b_nested_conserved(tree, config.b, config.min_size))
-        counted = count_b_nested_conserved(tree, config.b, config.min_size)
+        enum, count = enumerate_b_nested_conserved, count_b_nested_conserved
         family = oracle.all_conserved(pset)
-    fast_strong = {nd.interval for nd in tree.nodes if nd.size >= 2}
+    slow = {iv for iv in oracle.all_b_nested(family, b) if iv.size() >= min_size}
     slow_strong = set(oracle.strong_of(family))
-    slow = {iv for iv in oracle.all_b_nested(family, config.b) if iv.size() >= config.min_size}
-
-    problems = []
-    if fast != slow:
-        problems.append(("enumerate", fast, slow))
-    if counted != len(slow):
-        problems.append(("count", {counted}, {len(slow)}))
-    if fast_strong != slow_strong:
-        problems.append(("strong", fast_strong, slow_strong))
-    if not problems:
-        out.write(f"OK {config.mode} b={config.b} min_size={config.min_size}: "
-                  f"{len(slow)} intervals, {len(slow_strong)} strong\n")
-        return EXIT_OK
-    for name, got, want in problems:
+    code = EXIT_OK
+    for name, got, want in (("enumerate", set(enum(tree, b, min_size)), slow),
+                            ("count", count(tree, b, min_size), len(slow)),
+                            ("strong", {nd.interval for nd in tree.nodes if nd.size >= 2}, slow_strong)):
+        if got == want:
+            continue
+        code = EXIT_MISMATCH
+        if name == "count":
+            out.write(f"MISMATCH count: fast={got} oracle={want}\n")
+            continue
         out.write(f"MISMATCH {name}: fast={len(got)} oracle={len(want)}\n")
-        if config.diff and not (len(got) == 1 and isinstance(next(iter(got)), int)):
+        if config.diff:
             for lo, hi in sorted(want - got):
                 out.write(f"  missing ({lo}..{hi})\n")
             for lo, hi in sorted(got - want):
                 out.write(f"  spurious ({lo}..{hi})\n")
-    return EXIT_MISMATCH
+    if code == EXIT_OK:
+        out.write(f"OK {config.mode} b={b} min_size={min_size}: "
+                  f"{len(slow)} intervals, {len(slow_strong)} strong\n")
+    return code
+
+
+def _uniform_raw(n: int, K: int, signed: bool, rng: random.Random) -> list:
+    """The identity and K-1 shuffles of it; signed shuffles keep the frame
+    +1 ... +n and sign each inner label at random."""
+    raw = [list(range(1, n + 1))]
+    for _ in range(K - 1):
+        if signed and n >= 2:
+            mid = list(range(2, n))
+            rng.shuffle(mid)
+            raw.append([1] + [v * rng.choice((1, -1)) for v in mid] + [n])
+        else:
+            p = list(range(1, n + 1))
+            rng.shuffle(p)
+            raw.append(p)
+    return raw
 
 
 def _planted_raw(n: int, K: int, depth: int, span: int, rng: random.Random) -> list:
@@ -230,20 +219,11 @@ def _tree_internal_depth(tree) -> int:
     return best
 
 
-def _action_gen(config: RunConfig, out) -> int:
+def _action_gen(config, out) -> int:
     rng = random.Random(config.seed)
     n, K = config.n, config.K
     if config.model == "uniform":
-        raw = [list(range(1, n + 1))]
-        for _ in range(K - 1):
-            if config.signed and n >= 2:
-                mid = list(range(2, n))
-                rng.shuffle(mid)
-                raw.append([1] + [v * rng.choice((1, -1)) for v in mid] + [n])
-            else:
-                p = list(range(1, n + 1))
-                rng.shuffle(p)
-                raw.append(p)
+        raw = _uniform_raw(n, K, config.signed, rng)
     else:
         if config.signed:
             raise core.PermutationError("planted-nested generates unsigned sets")
@@ -266,26 +246,22 @@ def _action_gen(config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _action_bench(config: RunConfig, out) -> int:
+def _action_bench(config, out) -> int:
     rng = random.Random(config.seed)
+    conserved = config.mode == "conserved"
+    enum = enumerate_b_nested_conserved if conserved else enumerate_b_nested_common
     out.write("n,K,b,nocc,build_us,enum_us,scan_iters\n")
     for n in config.sizes:
         sub = random.Random(rng.randrange(1 << 48))
         if config.model == "planted-nested" and n >= 3 and config.K >= 2:
             raw = _planted_raw(n, config.K, config.depth, config.span, sub)
         else:
-            raw = [list(range(1, n + 1))]
-            for _ in range(config.K - 1):
-                p = list(range(1, n + 1))
-                sub.shuffle(p)
-                raw.append(p)
-        pset = core.normalize(raw, signed=True if config.mode == "conserved" else None)
+            raw = _uniform_raw(n, config.K, False, sub)
+        pset = core.normalize(raw, signed=conserved or None)
         t0 = time.perf_counter()
-        if config.mode == "common":
-            tree, enum = build_pqtree(pset), enumerate_b_nested_common
-        else:
-            pset = core.validate_conserved_frame(pset, frame=True)
-            tree, enum = build_conserved_tree(pset), enumerate_b_nested_conserved
+        if conserved:
+            pset = core.apply_frame(pset)
+        tree = _tree(config, pset)
         t1 = time.perf_counter()
         stats = ScanStats()
         nocc = sum(1 for _ in enum(tree, config.b, config.min_size, stats=stats))
@@ -305,15 +281,12 @@ _ACTIONS = {
 }
 
 
-def run(config: RunConfig, out=None) -> int:
+def run(config, out=None) -> int:
     """Dispatch one action; returns the process exit code."""
     out = out if out is not None else sys.stdout
     try:
         return _ACTIONS[config.action](config, out)
-    except core.PermutationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, oracle.BoundExceeded) as exc:
+    except ValueError as exc:  # PermutationError, BoundExceeded, UnicodeDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
@@ -389,34 +362,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {}
-    for name in RunConfig.__dataclass_fields__:
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    if getattr(args, "sizes", None) is not None and isinstance(args.sizes, str):
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check the parsed flags, which are the run's config, and return them with
+    --sizes parsed to a tuple; a bad value raises ValueError."""
+    if args.action == "bench":
         try:
-            fields["sizes"] = tuple(int(tok) for tok in args.sizes.split(",") if tok.strip())
+            args.sizes = tuple(int(tok) for tok in args.sizes.split(",") if tok.strip())
         except ValueError:
             raise ValueError(f"bad --sizes value {args.sizes!r}") from None
-    if hasattr(args, "input"):
-        fields["input_path"] = args.input
-    return RunConfig(**fields)
+    for flag, dest, low in (("--b", "b", 1), ("--n", "n", 1), ("--k", "K", 1),
+                            ("--depth", "depth", 1), ("--span", "span", 2)):
+        if getattr(args, dest, low) < low:  # a subcommand without the flag passes
+            raise ValueError(f"{flag} must be >= {low}")
+    if args.action == "bench" and min(args.sizes, default=0) < 1:
+        raise ValueError("--sizes must list one or more sizes >= 1")
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        if config.b < 1:
-            raise ValueError("--b must be >= 1")
-        if config.action in ("gen", "bench"):
-            for flag, value, low in (("--n", config.n, 1), ("--k", config.K, 1),
-                                     ("--depth", config.depth, 1), ("--span", config.span, 2)):
-                if value < low:  # bench has no --n; its n keeps the default 1
-                    raise ValueError(f"{flag} must be >= {low}")
-            if config.action == "bench" and min(config.sizes, default=0) < 1:
-                raise ValueError("--sizes must list one or more sizes >= 1")
+        config = config_from_args(build_parser().parse_args(argv))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -236,15 +236,12 @@ def normalize(raw: Sequence[Sequence[int]], signed: "bool | None" = None) -> Per
     )
 
 
-def validate_conserved_frame(pset: PermutationSet, frame: bool = False) -> PermutationSet:
+def validate_conserved_frame(pset: PermutationSet) -> PermutationSet:
     """Check the +1 ... +n frame required by conserved intervals.
 
     Returns the set unchanged when every permutation starts with +1 and ends
-    with +n, and raises BadFrame otherwise.  With frame=True the check is
-    replaced by a repair: see `apply_frame`.
+    with +n, and raises BadFrame otherwise.  `apply_frame` adds a frame.
     """
-    if frame:
-        return apply_frame(pset)
     if not pset.signed:
         raise PermutationError("conserved intervals need a signed permutation set")
     n = pset.n
@@ -313,6 +310,8 @@ def is_conserved_interval(pset: PermutationSet, iv: Interval) -> bool:
     """True when (lo, hi) is a unit interval or a common interval delimited,
     in every permutation, by +lo ... +hi or by -hi ... -lo."""
     a, c = iv
+    if not 1 <= a <= c <= pset.n:
+        raise ValueError("interval (%d..%d) empty or out of range 1..%d" % (a, c, pset.n))
     if a == c:
         return True
     if not pset.signed:

@@ -225,6 +225,20 @@ def test_oracle_check_diff_prints_ranges(capsys, gold_common_file, monkeypatch):
     assert all(re.fullmatch(r"  (missing|spurious) \(\d+\.\.\d+\)", line) for line in listed)
 
 
+@pytest.mark.parametrize("mode, raw, oracle_count", [
+    ("common", [[1, 2, 3, 4], [2, 1, 4, 3]], 2),
+    ("conserved", GOLD_CONSERVED_RAW, 5),
+])
+def test_oracle_check_prints_both_counts(capsys, tmp_path, monkeypatch, mode, raw, oracle_count):
+    """A count mismatch names the two counts, not the sizes of sets holding them."""
+    path = _write(tmp_path, "inst.txt", raw)
+    code, out = _run(capsys, ["count", "--mode", mode, "--b", "1", path])
+    assert (code, out) == (0, f"{oracle_count}\n")
+    monkeypatch.setattr(cli, f"count_b_nested_{mode}", lambda tree, b, min_size: 42)
+    code, out = _run(capsys, ["oracle-check", "--mode", mode, "--b", "1", "--diff", path])
+    assert (code, out) == (cli.EXIT_MISMATCH, f"MISMATCH count: fast=42 oracle={oracle_count}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--n", "5", "--k", "2", "--model", "planted-nested", "--depth", "0"],
     ["gen", "--n", "5", "--k", "2", "--model", "planted-nested", "--depth", "-3"],
@@ -241,6 +255,8 @@ def test_bad_generator_flags_exit_validation(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    with pytest.raises(ValueError):
+        cli.config_from_args(cli.build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("argv", [
@@ -424,3 +440,16 @@ def test_count_equals_enumerate_across_flags(capsys, tmp_path):
                 code2, listed = _run(capsys, ["enumerate"] + args)
                 assert code == code2 == 0
                 assert int(counted) == len(listed.splitlines())
+
+
+@pytest.mark.parametrize("mode", ["common", "conserved"])
+def test_run_on_parsed_flags_writes_what_main_writes(capsys, tmp_path, mode):
+    """The library call path run(config_from_args(parse_args(argv)), out=...)
+    returns 0 and writes exactly the bytes main(argv) writes to stdout."""
+    path, _ = _reversal_instances(tmp_path, mode)[0]
+    for argv in (["count", "--mode", mode, "--b", "2", path],
+                 ["enumerate", "--sort", "--original-labels", "--mode", mode, "--b", "2", path]):
+        sink = io.StringIO()
+        assert cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)), out=sink) == 0
+        assert _run(capsys, argv) == (0, sink.getvalue())
+        assert sink.getvalue()

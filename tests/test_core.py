@@ -135,6 +135,17 @@ def test_membership_accepts_plain_pairs():
         core.is_common_interval(pset, (0, 10))
 
 
+def test_membership_rejects_out_of_range_units():
+    """Both membership tests raise on an empty or out-of-range interval,
+    units included, while in-range units stay members."""
+    pset = core.normalize([[1, 2, 3, 4, 5], [1, -3, -2, 4, 5]], signed=True)
+    for test in (core.is_common_interval, core.is_conserved_interval):
+        assert all(test(pset, (v, v)) for v in range(1, 6))
+        for iv in ((99, 99), (0, 0), (6, 6), (4, 2), (0, 5)):
+            with pytest.raises(ValueError):
+                test(pset, iv)
+
+
 def test_conserved_requires_signs():
     pset = core.normalize([[1, 2, 3], [1, 3, 2]])
     with pytest.raises(core.PermutationError):
@@ -153,7 +164,7 @@ def test_frame_validation():
 
 def test_apply_frame_wraps_with_sentinels():
     pset = core.normalize([[1, 2, 3], [3, 1, 2]], signed=True)
-    framed = core.validate_conserved_frame(pset, frame=True)
+    framed = core.apply_frame(pset)
     assert framed.n == pset.n + 2
     for perm in framed.perms:
         els = perm.signed_elements()
