@@ -28,6 +28,7 @@ EXIT_MISMATCH = 2
 EXIT_IO = 3
 
 _WRITE_CHUNK = 1 << 16  # output lines per write
+MAX_GENERATED = 10 ** 7  # gen and bench build at most this many labels, n times K
 
 
 def _read_input(path: str) -> str:
@@ -364,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Check the parsed flags, which are the run's config, and return them with
-    --sizes parsed to a tuple; a bad value raises ValueError."""
+    --sizes parsed to a tuple; a bad value raises ValueError.  A generated
+    instance above MAX_GENERATED labels is refused here, before any work."""
     if args.action == "bench":
         try:
             args.sizes = tuple(int(tok) for tok in args.sizes.split(",") if tok.strip())
@@ -376,6 +378,10 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             raise ValueError(f"{flag} must be >= {low}")
     if args.action == "bench" and min(args.sizes, default=0) < 1:
         raise ValueError("--sizes must list one or more sizes >= 1")
+    if args.action in ("gen", "bench"):  # both factors are >= 1 by now
+        flag, n = ("--n", args.n) if args.action == "gen" else ("--sizes", max(args.sizes))
+        if n * args.K > MAX_GENERATED:
+            raise ValueError(f"{flag} times --k must be <= {MAX_GENERATED}, got {n} * {args.K}")
     return args
 
 

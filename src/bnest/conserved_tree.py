@@ -62,13 +62,7 @@ class ConservedNode:
 
 
 class ConservedTree(StrongTree):
-    def is_conserved(self, lo: int, hi: int) -> bool:
-        """Membership test, 1-based ends; unit intervals always qualify, as
-        a canonical generator has R[i] >= i and L[j] <= j."""
-        if not (1 <= lo <= hi <= self.n):
-            return False
-        i, j = lo - 1, hi - 1
-        return j <= self._R[i] and self._L[j] <= i
+    """Inclusion tree of the strong conserved intervals."""
 
     @staticmethod
     def _text_line(node: ConservedNode) -> str:
@@ -154,7 +148,7 @@ def build_conserved_tree(pset: PermutationSet) -> ConservedTree:
         return node
 
     lo, hi = _strong_bounds(R, L, n)
-    return ConservedTree(_assemble(lo, hi, n, make), R, L, n)
+    return ConservedTree(_assemble(lo, hi, n, make), n)
 
 
 def irreducible_conserved_intervals(tree: ConservedTree) -> list:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class PermutationError(ValueError):
@@ -269,10 +269,7 @@ def apply_frame(pset: PermutationSet) -> PermutationSet:
         lo_sent = hi_sent + 1
     raw = []
     for perm in pset.perms:
-        if pset.signed:
-            body = [v * s for v, s in zip(perm.elements, perm.signs)]
-        else:
-            body = list(perm.elements)
+        body = perm.signed_elements() if pset.signed else perm.elements
         raw.append([lo_sent] + _to_original(pset, body) + [hi_sent])
     return normalize(raw, signed=True)
 
@@ -352,16 +349,5 @@ def parse_permutations(text: str) -> list:
 
 
 def format_permutations(pset: PermutationSet) -> str:
-    lines = []
-    for perm in pset.perms:
-        if pset.signed:
-            lines.append(" ".join(str(v * s) for v, s in zip(perm.elements, perm.signs)))
-        else:
-            lines.append(" ".join(str(v) for v in perm.elements))
-    return "\n".join(lines) + "\n"
-
-
-def all_intervals(n: int) -> Iterator[Interval]:
-    for lo in range(1, n + 1):
-        for hi in range(lo, n + 1):
-            yield Interval(lo, hi)
+    rows = (perm.signed_elements() if pset.signed else perm.elements for perm in pset.perms)
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)

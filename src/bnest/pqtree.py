@@ -65,19 +65,17 @@ class PQNode:
 
 
 class StrongTree:
-    """Tree of strong intervals, nodes in post-order, plus the generator
-    (R, L) it came from.  Subclasses give each node's text line and JSON
-    fields; every traversal is iterative, so depth is bounded only by n.
-    Nodes keep no parent pointer: a dropped tree holds no reference cycle,
-    so reference counting frees it without waiting for a full GC pass.
-    `annotated` records that the b-nesting thresholds are set on the nodes."""
+    """Tree of strong intervals over labels 1..n, nodes in post-order.
+    Subclasses give each node's text line and JSON fields; every traversal
+    is iterative, so depth is bounded only by n.  Nodes keep no parent
+    pointer: a dropped tree holds no reference cycle, so reference counting
+    frees it without waiting for a full GC pass.  `annotated` records that
+    the b-nesting thresholds are set on the nodes."""
 
-    def __init__(self, nodes: list, R: list, L: list, n: int):
+    def __init__(self, nodes: list, n: int):
         self.root = nodes[-1]
         self.nodes = nodes  # post-order
         self.n = n
-        self._R = R
-        self._L = L
         self.annotated = False
 
     def to_text(self) -> str:
@@ -90,20 +88,9 @@ class StrongTree:
                 stack.append((child, depth + 1))
         return "\n".join(lines)
 
-    def to_json_obj(self) -> dict:
-        """Nested dicts: each node's JSON fields plus a "children" list."""
-        top = dict(self._json_fields(self.root), children=[])
-        stack = [(self.root, top)]
-        while stack:
-            node, obj = stack.pop()
-            for child in node.children:
-                sub = dict(self._json_fields(child), children=[])
-                obj["children"].append(sub)
-                stack.append((child, sub))
-        return top
-
     def to_json(self) -> str:
-        """The text json.dumps gives for to_json_obj(); json.dumps itself
+        """The nodes as nested JSON objects, each node's fields plus a
+        "children" list, in the text json.dumps gives; json.dumps itself
         recurses once per nesting level."""
         parts = []
         stack = [self.root]  # nodes, and the separators and closers between them
@@ -124,13 +111,6 @@ class StrongTree:
 
 class PQTree(StrongTree):
     """PQ-tree of the common intervals."""
-
-    def is_common(self, lo: int, hi: int) -> bool:
-        """Membership test for the common-interval family, 1-based ends."""
-        if not (1 <= lo <= hi <= self.n):
-            return False
-        i, j = lo - 1, hi - 1
-        return j <= self._R[i] and self._L[j] <= i
 
     @staticmethod
     def _text_line(node: PQNode) -> str:
@@ -225,4 +205,4 @@ def build_pqtree(pset: PermutationSet) -> PQTree:
         a, b = kids[0].lo - 1, kids[1].hi - 1  # Q iff the first two children merge
         return PQNode(i + 1, j + 1, "Q" if b <= R[a] and L[b] <= a else "P", kids)
 
-    return PQTree(_assemble(lo, hi, n, make), R, L, n)
+    return PQTree(_assemble(lo, hi, n, make), n)

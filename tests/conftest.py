@@ -10,6 +10,7 @@ per-pair verdicts straight from a tree, live here too.
 from __future__ import annotations
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -45,6 +46,13 @@ def ivset(pairs) -> set:
 
 def singletons(n: int) -> set:
     return {core.Interval(i, i) for i in range(1, n + 1)}
+
+
+def generator_family(R: list, L: list, n: int) -> set:
+    """The (lo, hi) pairs, 1-based, that the 0-based generator (R, L) admits:
+    (i..j) is a member iff j <= R[i] and L[j] <= i."""
+    return {(i + 1, j + 1) for i, j in combinations_with_replacement(range(n), 2)
+            if j <= R[i] and L[j] <= i}
 
 
 def canonical_bounds(fam: set, n: int) -> tuple:

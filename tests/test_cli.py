@@ -9,8 +9,12 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnest import cli, core, oracle
 from bnest.common_enum import enumerate_b_nested_common
@@ -121,15 +125,29 @@ def test_tree_json_deep_chain(capsys, tmp_path, mode):
     assert out.count("{") == out.count("}") and out.count("[") == out.count("]")
 
 
+def _assert_json_is_the_tree(tree):
+    """to_json() is the text json.dumps gives for its own parse, and a
+    pre-order walk of the parsed objects meets the nodes in to_text order."""
+    text = tree.to_json()
+    obj = json.loads(text)
+    assert json.dumps(obj) == text
+    ends, stack = [], [obj]
+    while stack:
+        node = stack.pop()
+        ends.append((node["lo"], node["hi"]))
+        stack.extend(reversed(node["children"]))
+    text_ends = re.findall(r"\((\d+)\.\.(\d+)\)", tree.to_text())
+    assert ends == [(int(lo), int(hi)) for lo, hi in text_ends]
+
+
 def test_tree_json_text_matches_json_dumps():
     rng = random.Random(515)
     for _ in range(40):
         n = rng.randint(2, 12)
-        tree = build_pqtree(core.normalize(random_unsigned_raw(rng, n, rng.randint(1, 4))))
-        assert tree.to_json() == json.dumps(tree.to_json_obj())
+        pset = core.normalize(random_unsigned_raw(rng, n, rng.randint(1, 4)))
+        _assert_json_is_the_tree(build_pqtree(pset))
         pset = core.normalize(random_framed_raw(rng, n, rng.randint(1, 4)), signed=True)
-        tree = build_conserved_tree(pset)
-        assert tree.to_json() == json.dumps(tree.to_json_obj())
+        _assert_json_is_the_tree(build_conserved_tree(pset))
 
 
 def test_enumerate_sorted_original_labels_match_oracle(capsys, tmp_path):
@@ -257,6 +275,117 @@ def test_bad_generator_flags_exit_validation(capsys, argv):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     with pytest.raises(ValueError):
         cli.config_from_args(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "1000000000000", "--k", "2"],
+    ["gen", "--n", "5", "--k", "1000000000000"],
+    ["gen", "--n", str(cli.MAX_GENERATED), "--k", "2"],
+    ["bench", "--sizes", "1000000000000"],
+    ["bench", "--sizes", "10," + str(cli.MAX_GENERATED // 2 + 1), "--k", "2"],
+    ["bench", "--sizes", "10", "--k", str(cli.MAX_GENERATED + 1)],
+])
+def test_generated_size_ceiling_exits_validation(capsys, argv):
+    """n, K or n * K above the ceiling is refused before any work starts;
+    config_from_args raises first, so a missing check fails here rather
+    than building the instance."""
+    with pytest.raises(ValueError, match="times --k"):
+        cli.config_from_args(cli.build_parser().parse_args(argv))
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_generated_size_ceiling_is_inclusive():
+    for argv in (["gen", "--n", str(cli.MAX_GENERATED), "--k", "1"],
+                 ["bench", "--sizes", "1," + str(cli.MAX_GENERATED // 4), "--k", "4"]):
+        cli.config_from_args(cli.build_parser().parse_args(argv))  # checked, not run
+
+
+# Flag values: small, below range, past the generated-size ceiling or not a
+# number; never a size that builds a large instance.
+_SMALL = st.integers(1, 64).map(str)
+_WILD = st.one_of(_SMALL, st.integers(-64, 0).map(str), st.sampled_from(["x", "", "1e3"]),
+                  st.integers(cli.MAX_GENERATED + 1, 10 ** 30).map(str),
+                  st.integers(-10 ** 30, -65).map(str))
+_LINES = st.lists(st.lists(st.one_of(st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30))))
+_BOOL_FLAGS = {
+    "tree": ["--json", "--frame"],
+    "enumerate": ["--sort", "--original-labels", "--count-only", "--frame"],
+    "count": ["--frame"],
+    "oracle-check": ["--diff", "--frame"],
+    "gen": ["--signed"],
+    "bench": [],
+}
+
+
+def _text(rows) -> bytes:
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows).encode()
+
+
+@st.composite
+def _signed_perms(draw):
+    """1 to 4 permutations of up to 7 labels between 1 and 10**30, signed at random."""
+    n = draw(st.integers(1, 7))
+    labels = draw(st.lists(st.integers(1, 10 ** 30), min_size=n, max_size=n, unique=True))
+    signs = st.lists(st.sampled_from([1, 1, -1]), min_size=n, max_size=n)
+    row = st.tuples(st.permutations(labels), signs).map(lambda t: [v * s for v, s in zip(*t)])
+    return draw(st.lists(row, min_size=1, max_size=4))
+
+
+@st.composite
+def _cli_case(draw):
+    """An argv list and the bytes of its input file (None: no file).  Half
+    the cases draw only small, valid flag values."""
+    action = draw(st.sampled_from(list(_BOOL_FLAGS)))
+    wild = draw(st.booleans())
+    value = _WILD if wild else _SMALL
+    argv = [action] + [flag for flag in _BOOL_FLAGS[action] if draw(st.booleans())]
+    if action in ("gen", "bench"):
+        if action == "gen":  # --n and --k are required
+            argv += ["--n", draw(value), "--k", draw(value)]
+        else:
+            sizes = draw(st.lists(value, min_size=0 if wild else 1, max_size=3))
+            argv += ["--sizes", ",".join(sizes)] + ["--k", draw(value)] * draw(st.booleans())
+        for flag in ("--seed", "--depth", "--span"):
+            if draw(st.booleans()):
+                argv += [flag, draw(value)]
+        argv += ["--model", draw(st.sampled_from(["uniform", "planted-nested"]))]
+    else:
+        argv += ["--b", draw(value), "--min-size", draw(st.sampled_from(["1", "2"]))]
+    if action != "gen":
+        argv += ["--mode", draw(st.sampled_from(["common", "conserved"]))]
+    if wild and draw(st.booleans()):  # a usage error
+        argv.append(draw(st.sampled_from(["--mode=foo", "--min-size=3", "--bogus", "--b"])))
+    if action in ("gen", "bench"):
+        return argv, None
+    perms = _signed_perms().map(_text)
+    undecodable = st.builds(lambda text, tail: text + b"\x80" + tail, perms, st.binary())
+    return argv, draw(st.one_of(perms, perms, undecodable, _LINES.map(_text), st.binary(),
+                                st.text().map(str.encode), st.none()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cli_case())
+def test_cli_fuzz_exits_with_a_documented_code(case):
+    """Malformed text, undecodable bytes, huge, negative or zero labels and
+    extreme flag values: every run exits 0, 1 or 3, with no traceback."""
+    argv, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] not in ("gen", "bench"):
+            path = os.path.join(tmp, "input.txt")
+            if data is not None:  # else the file is missing
+                with open(path, "wb") as fh:
+                    fh.write(data)
+            argv = argv + [path]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_IO), (argv, data, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,6 +16,7 @@ from bnest.conserved_tree import (
 from conftest import (
     GOLD_CONSERVED_RAW,
     canonical_bounds,
+    generator_family,
     ivset,
     random_framed_raw,
     weak_conserved_intervals,
@@ -73,8 +74,7 @@ def test_golden_weak_intervals(gold_conserved_pset):
 def test_golden_membership(gold_conserved_pset):
     tree = build_conserved_tree(gold_conserved_pset)
     fam = oracle.all_conserved(gold_conserved_pset)
-    for iv in core.all_intervals(9):
-        assert tree.is_conserved(iv.lo, iv.hi) == (iv in fam)
+    assert generator_family(*_conserved_generator(gold_conserved_pset), 9) == fam
     assert count_b_nested_conserved(tree, tree.n, 1) == len(fam)
 
 
@@ -156,10 +156,7 @@ def test_membership_random():
     for _ in range(50):
         n = rng.randint(2, 9)
         pset = core.normalize(random_framed_raw(rng, n, rng.randint(1, 4)), signed=True)
-        tree = build_conserved_tree(pset)
-        fam = oracle.all_conserved(pset)
-        for iv in core.all_intervals(n):
-            assert tree.is_conserved(iv.lo, iv.hi) == (iv in fam)
+        assert generator_family(*_conserved_generator(pset), n) == oracle.all_conserved(pset)
 
 
 def test_generator_is_canonical():

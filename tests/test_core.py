@@ -188,11 +188,6 @@ def test_parse_reports_line_numbers():
     assert "line 2" in str(err.value)
 
 
-def test_all_intervals_count():
-    assert sum(1 for _ in core.all_intervals(6)) == 21
-    assert list(core.all_intervals(1)) == [core.Interval(1, 1)]
-
-
 @given(st.integers(1, 30), st.integers(1, 4), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_positions_invert_elements(n, K, seed):

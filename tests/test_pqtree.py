@@ -21,6 +21,7 @@ from bnest.pqtree import (
 from conftest import (
     GOLD_COMMON_RAW,
     canonical_bounds,
+    generator_family,
     ivset,
     random_framed_raw,
     random_unsigned_raw,
@@ -95,10 +96,10 @@ def test_single_element_tree():
 
 
 def test_is_common_matches_oracle(gold_common_pset):
+    """The generator admits exactly the common intervals."""
     fam = oracle.all_common(gold_common_pset)
-    tree = build_pqtree(gold_common_pset)
-    for iv in core.all_intervals(9):
-        assert tree.is_common(iv.lo, iv.hi) == (iv in fam)
+    R, L = canonical_generator(position_matrix(gold_common_pset.perms), 9)
+    assert generator_family(R, L, 9) == fam
 
 
 def test_weak_intervals_of_qnode_contract(gold_common_pset):
@@ -167,10 +168,8 @@ def test_common_membership_random():
     for _ in range(60):
         n = rng.randint(1, 10)
         pset = core.normalize(random_unsigned_raw(rng, n, rng.randint(1, 4)))
-        tree = build_pqtree(pset)
-        fam = oracle.all_common(pset)
-        for iv in core.all_intervals(n):
-            assert tree.is_common(iv.lo, iv.hi) == (iv in fam)
+        R, L = canonical_generator(position_matrix(pset.perms), n)
+        assert generator_family(R, L, n) == oracle.all_common(pset)
 
 
 def test_generator_is_canonical():
