@@ -26,8 +26,11 @@ Intersection.  Membership is a conjunction over the permutations, so the
 elementwise min R0 of the Sups and max L0 of the Infs are exact bounds:
 (i..j) is common iff j <= R0[i] and L0[j] <= i.  They need not be
 canonical; one DSU pass makes R so, and the same pass on the mirror image
-makes L so.  The conserved family folds exact bounds of a doubled alphabet
-and canonicalizes once, through the same pass.
+makes L so.  The conserved family uses the same sweep with each label's
+orientation: a label that must open its block shuts out the run on its
+left, so Sup(i) = min(f, m) - 1 with m the minimum label of that run and f
+the next minimum in the list; one that must close it shuts out its right
+run.  Inf sweeps complemented labels, so there the shut-out side flips.
 The whole generator is O(Kn) Python steps on lists, plus the built-in sort
 that orders each DSU pass's kills (Bergeron, Chauve, de Montgolfier &
 Raffinot, SIAM J. Discrete Math. 22(3), 2008).
@@ -37,8 +40,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def _sup(row: list) -> list:
-    """Sup(i) for every label i of one row (label -> position)."""
+def _sup(row: list, side=None) -> list:
+    """Sup(i) for every label i of one row (label -> position).  With side,
+    a per-label list, label i must end its block on one side: the run that
+    i merges on its left (side[i] true) or right is shut out."""
     n = len(row)
     head = n + 1  # list sentinel before the smallest minimum; n follows the last
     nxt = [n] * (n + 2)
@@ -52,14 +57,15 @@ def _sup(row: list) -> list:
     for i in range(n - 1, -1, -1):
         p = row[i] + 1
         a = b = p
+        ml = mr = n
         if other[p - 1]:
             a = other[p - 1]
-            m = low[p - 1]
+            m = ml = low[p - 1]
             nxt[prv[m]] = nxt[m]
             prv[nxt[m]] = prv[m]
         if other[p + 1]:
             b = other[p + 1]
-            m = low[p + 1]
+            m = mr = low[p + 1]
             nxt[prv[m]] = nxt[m]
             prv[nxt[m]] = prv[m]
         other[a] = b
@@ -69,6 +75,10 @@ def _sup(row: list) -> list:
         nxt[head] = i
         nxt[i] = f
         prv[f] = i
+        if side is not None:
+            m = ml if side[i] else mr
+            if m < f:
+                f = m
         sup[i] = f - 1
     return sup
 
@@ -80,20 +90,27 @@ def mirror(X: list, n: int) -> list:
     return [n - 1 - x for x in reversed(X)]
 
 
-def exact_bounds(posmat: np.ndarray, n: int) -> tuple:
+def exact_bounds(posmat: np.ndarray, n: int, opens=None) -> tuple:
     """Exact, not necessarily canonical, bounds (R0, L0) as lists: (i..j)
     is common to the identity and the rows of posmat iff j <= R0[i] and
-    L0[j] <= i."""
+    L0[j] <= i.  With opens, a k x n bool array true where label i has a +
+    sign in row k, the pairs admitted are the conserved ones: in every row
+    labels i..j form one block, +i ... +j or -j ... -i."""
     if n <= 0:
         raise ValueError("empty permutation")
     if posmat.shape[0] and posmat.shape[1] != n:
         raise ValueError("position rows disagree with n")
-    R0 = [n - 1] * n
-    L0 = [0] * n
-    for row in posmat.tolist():
-        R0 = list(map(min, R0, _sup(row)))
-        L0 = list(map(max, L0, mirror(_sup(row[::-1]), n)))
-    return R0, L0
+    rows = posmat.tolist()
+    if opens is None:
+        sides = infsides = [None] * len(rows)
+    else:  # Inf sweeps complemented labels, so the shut-out side flips
+        sides, infsides = opens.tolist(), (~opens[:, ::-1]).tolist()
+    R0 = np.full(n, n - 1, dtype=np.int64)
+    M = np.full(n, n - 1, dtype=np.int64)  # min Sup of complemented labels
+    for row, side, infside in zip(rows, sides, infsides):
+        np.minimum(R0, _sup(row, side), out=R0)
+        np.minimum(M, _sup(row[::-1], infside), out=M)
+    return R0.tolist(), (n - 1 - M[::-1]).tolist()
 
 
 def _canonical_right(R0: list, L0: list, n: int) -> list:

@@ -290,6 +290,9 @@ def run(config, out=None) -> int:
     except ValueError as exc:  # PermutationError, BoundExceeded, UnicodeDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError:  # a size under MAX_GENERATED can still exhaust a small machine
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_VALIDATION
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

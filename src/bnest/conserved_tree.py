@@ -11,16 +11,18 @@ conserved interval, every weak conserved interval is a frontier pair of
 exactly one node, and each child lies strictly inside one frontier step
 (f_l..f_{l+1}) of its parent, recorded as the child's L_link.
 
-Membership reduces to common intervals over a doubled alphabet: replace +v
-by the pair (2v-1, 2v) and -v by (2v, 2v-1).  Then (a..c) with a < c is
-conserved iff the doubled value range (2a..2c-1) is a common interval of the
-doubled permutations: the doubled run is consecutive exactly when the
-original block is, and it can only start on the left half of a +a (or right
-half of a -a backwards) when the delimiter signs match.  Exact bounds of
-the doubled family therefore yield, after a floor-by-two change of
-coordinates and one DSU pass to restore canonicity, the canonical generator
-(R, L) of the conserved family, and the PQ-tree's strong-interval sweep and
-assembly build the tree, leaving the unit intervals out.
+Membership is common-interval membership with one orientation rule: (a..c),
+a < c, is conserved iff it is common, a sits at the end of the block that
+its sign names (+a first, -a last) and c at the other end (+c last, -c
+first).  The per-row Sup(a) and Inf(c) sweeps of `_kernels` enforce this:
+when a (or c) joins its neighbour runs, the run on the side it must not
+extend into is shut out.  A pair whose ends have mixed signs in a row
+fails that row: +a and -c would both have to come first in one block of
+two or more positions, -a and +c both last.  The exact bounds therefore
+yield, after one DSU pass to restore canonicity, the canonical generator
+(R, L) of the conserved family on the n labels, and the PQ-tree's
+strong-interval sweep and assembly build the tree, leaving the unit
+intervals out.
 """
 from __future__ import annotations
 
@@ -82,31 +84,25 @@ class ConservedTree(StrongTree):
 
 
 def _doubled_position_matrix(pset: PermutationSet) -> np.ndarray:
-    """One row per non-identity doubled permutation: value -> position.
-    +v at position p holds values 2v-1, 2v at positions 2p-1, 2p (1-based),
-    and -v holds them swapped."""
+    """One row per permutation other than the all-positive identity: label
+    -> 2 * position + (1 if the label is negative), 0-based.  This is the
+    even half of a doubled alphabet (+v as 2v-1, 2v and -v swapped), which
+    the oriented sweep no longer needs; the name stays because the
+    benchmark's tracer patches this function."""
     n = pset.n
     identity = tuple(range(1, n + 1))
     keep = [perm for perm in pset.perms if perm.elements != identity or -1 in perm.signs]
     k = len(keep)
     pos = np.array([perm.positions for perm in keep], dtype=np.int64).reshape(k, n + 1)[:, 1:] - 1
     signs = np.array([perm.signs for perm in keep], dtype=np.int64).reshape(k, n)
-    neg = np.take_along_axis(signs, pos, axis=1) < 0  # per label
-    out = np.empty((k, 2 * n), dtype=np.int64)
-    out[:, 0::2] = 2 * pos + neg
-    out[:, 1::2] = 2 * pos + 1 - neg
-    return out
+    return 2 * pos + (np.take_along_axis(signs, pos, axis=1) < 0)
 
 
 def _conserved_generator(pset: PermutationSet):
     """Canonical (R, L) of the conserved family, 0-based label indices."""
-    n = pset.n
-    RD, LD = exact_bounds(_doubled_position_matrix(pset), 2 * n)
-    # (a..c), a<c, is conserved iff doubled (2a+1..2c) is common, that is iff
-    # 2c <= RD[2a+1] and LD[2c] <= 2a+1; halving keeps both tests exact.
-    R0 = [r // 2 for r in RD[1::2]]
-    L0 = [l // 2 for l in LD[0::2]]
-    return canonicalize(R0, L0, n)
+    doubled = _doubled_position_matrix(pset)
+    R0, L0 = exact_bounds(doubled >> 1, pset.n, opens=(doubled & 1) == 0)
+    return canonicalize(R0, L0, pset.n)
 
 
 def build_conserved_tree(pset: PermutationSet) -> ConservedTree:

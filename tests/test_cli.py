@@ -405,6 +405,17 @@ def test_usage_errors_exit_validation(capsys, argv):
     assert "error: " in captured.err and "Traceback" not in captured.err
 
 
+def test_memory_error_exits_validation(capsys, gold_common_file, monkeypatch):
+    """A size under MAX_GENERATED can still exhaust memory; the parser is
+    made to raise, so nothing large is allocated."""
+    def exhausted(text):
+        raise MemoryError
+    monkeypatch.setattr(core, "parse_permutations", exhausted)
+    assert cli.main(["count", gold_common_file]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: out of memory\n")
+
+
 def test_help_exits_ok(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "--help"])

@@ -3,13 +3,16 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from bnest import core, oracle
+from bnest._kernels import canonicalize, exact_bounds
 from bnest.conserved_enum import count_b_nested_conserved
 from bnest.conserved_tree import (
     ConservedTree,
     _conserved_generator,
+    _doubled_position_matrix,
     build_conserved_tree,
     irreducible_conserved_intervals,
 )
@@ -19,6 +22,7 @@ from conftest import (
     generator_family,
     ivset,
     random_framed_raw,
+    signed_inversions_raw,
     weak_conserved_intervals,
 )
 
@@ -176,3 +180,54 @@ def test_generator_is_canonical():
         cases.append(core.apply_frame(core.normalize(raw, signed=True)))
     for pset in cases:
         assert _conserved_generator(pset) == canonical_bounds(oracle.all_conserved(pset), pset.n)
+
+
+def _label_signs(perm) -> list:
+    """The sign of each label 1..n of a signed permutation, in label order."""
+    return [perm.signs[perm.positions[v] - 1] for v in range(1, perm.n + 1)]
+
+
+def test_oriented_exact_bounds_are_exact():
+    """exact_bounds with per-label orientation admits exactly the conserved
+    pairs, before any canonicalizing, and never a pair whose ends carry
+    different signs in some permutation."""
+    rng = random.Random(910)
+    cases = []
+    for _ in range(30):
+        n = rng.randint(8, 64)
+        cases.append(core.normalize(
+            signed_inversions_raw(rng, n, rng.randint(2, 4), rng.randint(1, n // 4)), signed=True))
+    for _ in range(30):
+        n = rng.randint(1, 62)
+        raw = [list(range(1, n + 1))]
+        for _ in range(rng.randint(1, 3)):
+            raw.append([v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), n)])
+        cases.append(core.apply_frame(core.normalize(raw, signed=True)))
+    for pset in cases:
+        n = pset.n
+        rows = np.array([perm.positions[1:] for perm in pset.perms], dtype=np.int64) - 1
+        opens = np.array([_label_signs(perm) for perm in pset.perms]) > 0
+        fam = generator_family(*exact_bounds(rows, n, opens=opens), n)
+        assert fam == {(iv.lo, iv.hi) for iv in oracle.all_conserved(pset)}
+        for perm in pset.perms:
+            sign = _label_signs(perm)
+            assert all(sign[lo - 1] == sign[hi - 1] for lo, hi in fam)
+
+
+def _doubled_generator(pset):
+    """The conserved generator over the doubled alphabet: +v becomes the
+    0-based pair (2v, 2v+1) and -v the pair (2v+1, 2v); (a..c) is conserved
+    iff doubled (2a+1..2c) is common, and halving keeps both tests exact."""
+    even = _doubled_position_matrix(pset)
+    rows = np.stack([even, even ^ 1], axis=2).reshape(len(even), 2 * pset.n)
+    RD, LD = exact_bounds(rows, 2 * pset.n)
+    return canonicalize([r // 2 for r in RD[1::2]], [l // 2 for l in LD[0::2]], pset.n)
+
+
+@pytest.mark.parametrize("seed, n", [(1, 1500), (2, 1500), (3, 1500), (4, 10**4)])
+def test_generator_matches_the_doubled_alphabet_at_scale(seed, n):
+    """Above the oracle's reach, the oriented sweep on n labels equals the
+    doubled-alphabet generator on the benchmark's model."""
+    raw = signed_inversions_raw(random.Random(seed), n, 3, n // 14)
+    pset = core.normalize(raw, signed=True)
+    assert _conserved_generator(pset) == _doubled_generator(pset)
