@@ -3,7 +3,8 @@
 The only heavy step in the whole package is computing, for each left end i,
 the furthest right end R[i] such that (i..j) is a common interval, and the
 mirror image L[j].  Everything downstream (strong intervals, trees, scans) is
-linear-time bookkeeping as well.  Labels and positions here are 0-based.
+linear-time bookkeeping as well.  Labels here are 0-based; a row is a
+permutation's `positions` tuple, so positions are 1-based.
 
 Per permutation.  Fix one row Q (label -> position).  Let A(i) be the
 maximal run of positions around Q[i] whose labels are all >= i, and Sup(i)
@@ -24,7 +25,8 @@ complemented), reversed and complemented back.
 
 Intersection.  Membership is a conjunction over the permutations, so the
 elementwise min R0 of the Sups and max L0 of the Infs are exact bounds:
-(i..j) is common iff j <= R0[i] and L0[j] <= i.  They need not be
+(i..j) is common iff j <= R0[i] and L0[j] <= i.  Each sweep lowers the
+running minimum as it goes, so no per-row list is kept.  They need not be
 canonical; one DSU pass makes R so, and the same pass on the mirror image
 makes L so.  The conserved family uses the same sweep with each label's
 orientation: a label that must open its block shuts out the run on its
@@ -37,25 +39,24 @@ Raffinot, SIAM J. Discrete Math. 22(3), 2008).
 """
 from __future__ import annotations
 
-import numpy as np
+from operator import not_
 
 
-def _sup(row: list, side=None) -> list:
-    """Sup(i) for every label i of one row (label -> position).  With side,
-    a per-label list, label i must end its block on one side: the run that
-    i merges on its left (side[i] true) or right is shut out."""
+def _sup(row, side, bound: list) -> None:
+    """Lower bound[i] to Sup(i) for each label i of one row (label -> 1-based
+    position).  With side, a per-label list, label i must end its block on
+    one side: the run it merges on its left (side[i] true) or right is shut out."""
     n = len(row)
     head = n + 1  # list sentinel before the smallest minimum; n follows the last
     nxt = [n] * (n + 2)
     prv = [head] * (n + 2)
-    # Positions are shifted by one so that 0 and n + 1 stay dead.  A live
-    # run [a..b] keeps other[a] = b, other[b] = a and its minimum label in
-    # low[a] and low[b]; other[x] == 0 marks a dead position.
+    # Positions 0 and n + 1 stay dead.  A live run [a..b] keeps
+    # other[a] = b, other[b] = a and its minimum label in low[a] and
+    # low[b]; other[x] == 0 marks a dead position.
     other = [0] * (n + 2)
     low = [0] * (n + 2)
-    sup = [0] * n
     for i in range(n - 1, -1, -1):
-        p = row[i] + 1
+        p = row[i]
         a = b = p
         ml = mr = n
         if other[p - 1]:
@@ -79,8 +80,8 @@ def _sup(row: list, side=None) -> list:
             m = ml if side[i] else mr
             if m < f:
                 f = m
-        sup[i] = f - 1
-    return sup
+        if f <= bound[i]:
+            bound[i] = f - 1
 
 
 def mirror(X: list, n: int) -> list:
@@ -90,27 +91,24 @@ def mirror(X: list, n: int) -> list:
     return [n - 1 - x for x in reversed(X)]
 
 
-def exact_bounds(posmat: np.ndarray, n: int, opens=None) -> tuple:
+def exact_bounds(rows, n: int, opens=None) -> tuple:
     """Exact, not necessarily canonical, bounds (R0, L0) as lists: (i..j)
-    is common to the identity and the rows of posmat iff j <= R0[i] and
-    L0[j] <= i.  With opens, a k x n bool array true where label i has a +
-    sign in row k, the pairs admitted are the conserved ones: in every row
-    labels i..j form one block, +i ... +j or -j ... -i."""
+    is common to the identity and the permutations whose `positions`
+    tuples are rows iff j <= R0[i] and L0[j] <= i.  With opens, one bool
+    list per row true where 0-based label i has a + sign, the pairs
+    admitted are the conserved ones: in every row labels i..j form one
+    block, +i ... +j or -j ... -i."""
     if n <= 0:
         raise ValueError("empty permutation")
-    if posmat.shape[0] and posmat.shape[1] != n:
+    if any(len(row) != n + 1 for row in rows):
         raise ValueError("position rows disagree with n")
-    rows = posmat.tolist()
-    if opens is None:
-        sides = infsides = [None] * len(rows)
-    else:  # Inf sweeps complemented labels, so the shut-out side flips
-        sides, infsides = opens.tolist(), (~opens[:, ::-1]).tolist()
-    R0 = np.full(n, n - 1, dtype=np.int64)
-    M = np.full(n, n - 1, dtype=np.int64)  # min Sup of complemented labels
-    for row, side, infside in zip(rows, sides, infsides):
-        np.minimum(R0, _sup(row, side), out=R0)
-        np.minimum(M, _sup(row[::-1], infside), out=M)
-    return R0.tolist(), (n - 1 - M[::-1]).tolist()
+    R0 = [n - 1] * n
+    M = [n - 1] * n  # min Sup of complemented labels
+    for row, side in zip(rows, opens or [None] * len(rows)):
+        _sup(row[1:], side, R0)
+        # Inf sweeps complemented labels, so the shut-out side flips
+        _sup(row[:0:-1], side and list(map(not_, reversed(side))), M)
+    return R0, mirror(M, n)
 
 
 def _canonical_right(R0: list, L0: list, n: int) -> list:
@@ -136,26 +134,34 @@ def canonicalize(R0: list, L0: list, n: int) -> tuple:
     return R, mirror(_canonical_right(mirror(L0, n), mirror(R0, n), n), n)
 
 
-def canonical_generator(posmat: np.ndarray, n: int) -> tuple:
+def canonical_generator(posmat, n: int) -> tuple:
     """Return (R, L) as lists, 0-based: R[i] = max j and L[j] = min i with
     (i..j) a common interval of the identity and the permutations in posmat.
 
-    posmat holds one row per non-identity permutation: row k maps a 0-based
-    label to its 0-based position.  Rows equal to the identity are harmless
-    but wasted work; callers filter them out, which can leave posmat empty,
-    hence the explicit n.
+    posmat holds the `positions` tuple of each non-identity permutation
+    (1-based, index 0 padding), as `position_matrix` returns them.  Rows
+    equal to the identity are harmless but wasted work; callers filter them
+    out, which can leave posmat empty, hence the explicit n.
     """
     R0, L0 = exact_bounds(posmat, n)
     return canonicalize(R0, L0, n)
 
 
-def position_matrix(perms) -> np.ndarray:
-    """0-based label->position rows of the non-identity permutations, one
-    2-D int64 row each (no rows when all are the identity)."""
+class _PositionRows(list):
+    """A list of rows that can carry `shape` and `size`."""
+
+
+def position_matrix(perms) -> _PositionRows:
+    """The `positions` tuples of the non-identity permutations, as they
+    are: 1-based, index 0 padding, not copied (no rows when all are the
+    identity).  `.shape == (k, n)` and `.size == k * n` are read only by
+    the benchmark's `kernels.generator_labels` and by
+    `test_generator_is_canonical`; nothing in the package needs them."""
     n = perms[0].n
     identity = tuple(range(1, n + 1))
-    rows = [perm.positions for perm in perms if perm.elements != identity]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n + 1)[:, 1:] - 1
+    rows = _PositionRows(perm.positions for perm in perms if perm.elements != identity)
+    rows.shape, rows.size = (len(rows), n), len(rows) * n
+    return rows
 
 
 def find_left(par, x):

@@ -26,8 +26,6 @@ intervals out.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .core import Interval, PermutationSet, validate_conserved_frame
 from ._kernels import canonicalize, exact_bounds
 from .pqtree import InternalStructureError, StrongTree, _assemble, _strong_bounds
@@ -83,25 +81,25 @@ class ConservedTree(StrongTree):
         }
 
 
-def _doubled_position_matrix(pset: PermutationSet) -> np.ndarray:
-    """One row per permutation other than the all-positive identity: label
-    -> 2 * position + (1 if the label is negative), 0-based.  This is the
-    even half of a doubled alphabet (+v as 2v-1, 2v and -v swapped), which
-    the oriented sweep no longer needs; the name stays because the
-    benchmark's tracer patches this function."""
-    n = pset.n
-    identity = tuple(range(1, n + 1))
+def _doubled_position_matrix(pset: PermutationSet) -> tuple:
+    """The `positions` tuple of each permutation other than the
+    all-positive identity, and per row a list true where 0-based label i
+    has a + sign.  The name is left from the doubled alphabet (+v as 2v-1,
+    2v and -v swapped), which the oriented sweep no longer needs; it stays
+    because the benchmark's tracer patches this function."""
+    identity = tuple(range(1, pset.n + 1))
     keep = [perm for perm in pset.perms if perm.elements != identity or -1 in perm.signs]
-    k = len(keep)
-    pos = np.array([perm.positions for perm in keep], dtype=np.int64).reshape(k, n + 1)[:, 1:] - 1
-    signs = np.array([perm.signs for perm in keep], dtype=np.int64).reshape(k, n)
-    return 2 * pos + (np.take_along_axis(signs, pos, axis=1) < 0)
+    opens = []
+    for perm in keep:
+        plus = (False, *map((1).__eq__, perm.signs))  # by 1-based position
+        opens.append(list(map(plus.__getitem__, perm.positions[1:])))
+    return [perm.positions for perm in keep], opens
 
 
 def _conserved_generator(pset: PermutationSet):
     """Canonical (R, L) of the conserved family, 0-based label indices."""
-    doubled = _doubled_position_matrix(pset)
-    R0, L0 = exact_bounds(doubled >> 1, pset.n, opens=(doubled & 1) == 0)
+    rows, opens = _doubled_position_matrix(pset)
+    R0, L0 = exact_bounds(rows, pset.n, opens)
     return canonicalize(R0, L0, pset.n)
 
 

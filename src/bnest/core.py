@@ -171,6 +171,7 @@ def _check_raw(raw: Sequence[Sequence[int]]) -> int:
     n = len(raw[0])
     if n == 0:
         raise PermutationError("permutations must be non-empty")
+    label_sets = []
     for k, seq in enumerate(raw):
         if len(seq) != n:
             raise LengthMismatch(k, n, len(seq))
@@ -182,9 +183,9 @@ def _check_raw(raw: Sequence[Sequence[int]]) -> int:
             if a in seen:
                 raise DuplicateElement(k, a)
             seen.add(a)
-    base = {abs(x) for x in raw[0]}
-    for k, seq in enumerate(raw[1:], start=1):
-        labels = {abs(x) for x in seq}
+        label_sets.append(seen)
+    base = label_sets[0]
+    for k, labels in enumerate(label_sets[1:], start=1):
         if labels != base:
             bad = next(iter(labels.symmetric_difference(base)))
             raise NotAPermutation(k, bad, reason="label set differs from permutation 0")
@@ -214,14 +215,9 @@ def normalize(raw: Sequence[Sequence[int]], signed: "bool | None" = None) -> Per
 
     perms = []
     for seq in raw:
-        elems = []
-        signs = []
-        for x in seq:
-            a = abs(x)
-            elems.append(relabeling[a])
-            s = -1 if x < 0 else 1
-            signs.append(s * sign_in_first[a])
+        elems = list(map(relabeling.__getitem__, map(abs, seq)))
         if signed:
+            signs = [(-1 if x < 0 else 1) * sign_in_first[abs(x)] for x in seq]
             perms.append(SignedPermutation.from_elements(elems, signs))
         else:
             perms.append(Permutation.from_elements(elems))

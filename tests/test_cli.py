@@ -60,6 +60,28 @@ def test_python_m_bnest_runs_the_cli(gold_common_file):
     assert (proc.returncode, proc.stdout) == (0, "8\n")
 
 
+_NUMPY_BLOCKED = """\
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from bnest import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_cli_runs_with_numpy_blocked(capsys, gold_common_file, gold_conserved_file):
+    """bnest has no runtime dependency: with numpy unimportable, a fresh
+    interpreter writes exactly what cli.main writes in-process."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for mode, path in (("common", gold_common_file), ("conserved", gold_conserved_file)):
+        for command in (["count", "--b", "2"], ["enumerate", "--b", "2", "--sort"], ["tree"]):
+            argv = command + ["--mode", mode, path]
+            code, out = _run(capsys, argv)
+            proc = subprocess.run([sys.executable, "-c", _NUMPY_BLOCKED, *argv],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert (proc.returncode, proc.stdout) == (code, out) == (0, out), proc.stderr
+
+
 def test_count_golden_conserved(capsys, gold_conserved_file):
     code, out = _run(capsys, ["count", "--mode", "conserved", "--b", "2",
                               "--min-size", "2", gold_conserved_file])

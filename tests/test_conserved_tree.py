@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from bnest import core, oracle
@@ -12,7 +11,6 @@ from bnest.conserved_enum import count_b_nested_conserved
 from bnest.conserved_tree import (
     ConservedTree,
     _conserved_generator,
-    _doubled_position_matrix,
     build_conserved_tree,
     irreducible_conserved_intervals,
 )
@@ -205,8 +203,8 @@ def test_oriented_exact_bounds_are_exact():
         cases.append(core.apply_frame(core.normalize(raw, signed=True)))
     for pset in cases:
         n = pset.n
-        rows = np.array([perm.positions[1:] for perm in pset.perms], dtype=np.int64) - 1
-        opens = np.array([_label_signs(perm) for perm in pset.perms]) > 0
+        rows = [perm.positions for perm in pset.perms]
+        opens = [[s > 0 for s in _label_signs(perm)] for perm in pset.perms]
         fam = generator_family(*exact_bounds(rows, n, opens=opens), n)
         assert fam == {(iv.lo, iv.hi) for iv in oracle.all_conserved(pset)}
         for perm in pset.perms:
@@ -217,11 +215,18 @@ def test_oriented_exact_bounds_are_exact():
 def _doubled_generator(pset):
     """The conserved generator over the doubled alphabet: +v becomes the
     0-based pair (2v, 2v+1) and -v the pair (2v+1, 2v); (a..c) is conserved
-    iff doubled (2a+1..2c) is common, and halving keeps both tests exact."""
-    even = _doubled_position_matrix(pset)
-    rows = np.stack([even, even ^ 1], axis=2).reshape(len(even), 2 * pset.n)
-    RD, LD = exact_bounds(rows, 2 * pset.n)
-    return canonicalize([r // 2 for r in RD[1::2]], [l // 2 for l in LD[0::2]], pset.n)
+    iff doubled (2a+1..2c) is common, and halving keeps both tests exact.
+    A label at 0-based position p puts its pair at 1-based 2p+1, 2p+2."""
+    n = pset.n
+    rows = []
+    for perm in pset.perms:
+        row = [0] * (2 * n + 1)
+        for p, (v, s) in enumerate(zip(perm.elements, perm.signs)):
+            first, second = (2 * v - 1, 2 * v) if s > 0 else (2 * v, 2 * v - 1)
+            row[first], row[second] = 2 * p + 1, 2 * p + 2
+        rows.append(row)
+    RD, LD = exact_bounds(rows, 2 * n)
+    return canonicalize([r // 2 for r in RD[1::2]], [l // 2 for l in LD[0::2]], n)
 
 
 @pytest.mark.parametrize("seed, n", [(1, 1500), (2, 1500), (3, 1500), (4, 10**4)])
