@@ -14,7 +14,7 @@ import argparse
 import random
 import sys
 import time
-from itertools import chain, compress
+from itertools import chain
 
 from . import core, oracle
 from .common_enum import ScanStats, _common_runs, count_b_nested_common, enumerate_b_nested_common
@@ -53,34 +53,38 @@ def _tree(config, pset):
 
 
 def _by_left_end(runs, n: int):
-    """The runs regrouped as one run per left end, ascending.  The runs of a
-    shared left end are sorted together once; they arrive in ascending order
-    (nested nodes, inner first), so timsort's pass over them is linear."""
+    """The windows regrouped by left end, ascending, in one bucket pass.  Those of one
+    left end keep their arrival order, ascending in ends: nested nodes, inner first."""
     slots = [None] * (n + 1)
-    shared = {}  # lo -> every run of that left end, once it has two
-    for lo, ends in runs:
+    shared = {}  # lo -> every window of that left end, once it has two
+    for run in runs:
+        lo = run[0]
         if slots[lo] is not None:
-            shared.setdefault(lo, [slots[lo]]).append(ends)
-        slots[lo] = ends
-    for lo, parts in shared.items():
-        slots[lo] = sorted(chain.from_iterable(parts))
-    return compress(enumerate(slots), slots)  # runs are never empty
+            shared.setdefault(lo, [slots[lo]]).append(run)
+        slots[lo] = run
+    return chain.from_iterable(shared.get(run[0], (run,)) for run in filter(None, slots))
 
 
 def _emit_intervals(runs, pset, config, out) -> int:
-    """Write a "lo hi" line per interval of the (lo, ends) runs, each run one join
-    of per-label "name " and "name\\n" strings, about _WRITE_CHUNK lines per write."""
+    """Write a "lo hi" line per interval of the windows (lo, ends, i, j), each one
+    join over a slice of its end list's "name\\n" strings, made once per list."""
     if config.sort:
         runs = _by_left_end(runs, pset.n)
-    labels = pset.original_of if config.original_labels else range(pset.n + 1)
-    names = list(map(str, labels))
+    names = list(map(str, pset.original_of if config.original_labels else range(pset.n + 1)))
     left = [name + " " for name in names]
     right = [name + "\n" for name in names]
+    texts = {}  # id(ends) -> (ends, its strings); holding ends keeps its id unused
     parts = []
     count = written = 0
-    for lo, ends in runs:
-        parts += left[lo], left[lo].join(map(right.__getitem__, ends))
-        count += len(ends)
+    for lo, ends, i, j in runs:
+        if j - i == 1:
+            parts += left[lo], right[ends[i]]
+        else:
+            text = texts.get(id(ends))
+            if text is None:
+                text = texts[id(ends)] = ends, list(map(right.__getitem__, ends))
+            parts += left[lo], left[lo].join(text[1][i:j])
+        count += j - i
         if count - written >= _WRITE_CHUNK:
             out.write("".join(parts))
             parts.clear()
@@ -98,11 +102,11 @@ def _action_tree(config, out) -> int:
 def _action_enumerate(config, out) -> int:
     pset = _load_pset(config)
     scan = _common_runs if config.mode == "common" else _conserved_runs
-    # No local holds the tree: the runs keep its last reference, so --sort frees it
-    # before the writer joins its lines.
+    # No local holds the tree and the windows hold end lists, not nodes: the run
+    # producer keeps its last reference, so --sort frees it before the writer joins.
     runs = scan(_tree(config, pset), config.b, config.min_size)
     if config.count_only:
-        out.write(f"{sum(len(ends) for _, ends in runs)}\n")
+        out.write(f"{sum(j - i for _, _, i, j in runs)}\n")
     else:
         _emit_intervals(runs, pset, config, out)
     return EXIT_OK
@@ -167,12 +171,7 @@ def _planted_raw(n: int, K: int, depth: int, span: int, rng: random.Random) -> l
     """Nested value-range blocks, realized as contiguous runs in every
     permutation so each block is a strong common interval."""
     outer = min(max(span, depth + 1), n - 1)
-    sizes = []
-    for t in range(depth):
-        s = outer - t
-        if s < 2:
-            break
-        sizes.append(s)
+    sizes = [outer - t for t in range(depth) if outer - t >= 2]
     blocks = []
     lo = rng.randint(1, n - sizes[0] + 1) if n > sizes[0] else 1
     for s in sizes:
@@ -215,8 +214,7 @@ def _tree_internal_depth(tree) -> int:
         node, depth = stack.pop()
         if not node.is_leaf:
             best = max(best, depth)
-            for c in node.children:
-                stack.append((c, depth + 1))
+            stack.extend((c, depth + 1) for c in node.children)
     return best
 
 
@@ -231,14 +229,11 @@ def _action_gen(config, out) -> int:
         if n < 3 or K < 2:
             raise core.PermutationError("planted-nested needs n >= 3 and K >= 2")
         want = config.depth + 1  # root plus the planted chain
-        raw = None
-        for attempt in range(64):
-            candidate = _planted_raw(n, K, config.depth, config.span, rng)
-            tree = build_pqtree(core.normalize(candidate))
-            if _tree_internal_depth(tree) >= want:
-                raw = candidate
+        for _ in range(64):
+            raw = _planted_raw(n, K, config.depth, config.span, rng)
+            if _tree_internal_depth(build_pqtree(core.normalize(raw))) >= want:
                 break
-        if raw is None:
+        else:
             raise core.PermutationError(
                 f"could not plant {config.depth} nested levels in n={n}, K={K}"
             )

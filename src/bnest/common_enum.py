@@ -25,8 +25,8 @@ children); a conserved node's are its frontier steps (conserved_enum,
 d = 0).  A run of steps is b-nested iff it holds at most one gap, and that
 one good (b >= tau).  With the next gap precomputed, each start jumps to its
 last end in O(1), a bisect on the ends honours min_size, and the run is one
-(lo, ends) slice (flattened by the public enumerators): one step per start
-plus one per output.
+uncopied window (lo, f, i, j) of ends f[i:j] (flattened by the public
+enumerators): one step per start plus one per output.
 
 Counting uses the same steps.  At b a maximal run of h plain steps gives
 h*(h+1)/2 - d*h weak intervals and a good gap with l and r plain neighbours
@@ -55,9 +55,11 @@ class ScanStats:
     iterations: int = 0
 
 
-def _check_b(b: int) -> None:
+def _check_b(b: int, min_size: int = 1) -> None:
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
+    if min_size < 1:
+        raise ValueError(f"min_size must be >= 1, got {min_size}")
 
 
 def annotate(tree: PQTree) -> None:
@@ -87,9 +89,9 @@ def annotate(tree: PQTree) -> None:
 
 
 def _scan(f, tau, b, min_size, d, full_last=False):
-    """Yield the nonempty runs of one node's steps at b, one (f[a] + d,
-    ends) per start step a, and return the scan work.  full_last leaves out
-    the full run (a conserved node emits its own interval after its pairs)."""
+    """Yield the nonempty runs of one node's steps at b, one window (f[a] + d,
+    f, i, j) of ends f[i:j] per start step a, and return the scan work.
+    full_last leaves out the full run (a conserved node emits it last)."""
     s = len(tau)
     next_gap = [s] * (s + 1)  # least step index >= t that is a gap, else s
     gap = s
@@ -105,31 +107,26 @@ def _scan(f, tau, b, min_size, d, full_last=False):
             stop -= 1
         lo = f[a] + d
         start = bisect_left(f, lo + min_size - 1, a + 1 + d, stop + 1)
-        k = stop + 1 - start
-        if k > 0:
-            iters += k
-            yield lo, f[start:stop + 1]
+        if start <= stop:
+            iters += stop + 1 - start
+            yield lo, f, start, stop + 1
     return iters
 
 
 def _common_runs(tree: PQTree, b: int, min_size: int = 1, stats: ScanStats | None = None):
-    """enumerate_b_nested_common's output, in order, as nonempty (lo, ascending ends) runs."""
-    _check_b(b)
-    if min_size < 1:
-        raise ValueError(f"min_size must be >= 1, got {min_size}")
+    """enumerate_b_nested_common's output, in order, as nonempty windows (lo, ends,
+    i, j) of ascending ends[i:j] over a Q-node's f, or over one shared range."""
+    _check_b(b, min_size)
     annotate(tree)
+    ends = range(tree.n + 1)
     iters = 0
     for node in tree.nodes:
-        kids = node.children
-        if not kids:
-            if min_size <= 1:
-                yield node.lo, (node.hi,)
-        elif node.kind == "P":
-            if b >= node.bstar and node.size >= min_size:
-                yield node.lo, (node.hi,)
-        else:
+        if node.kind == "Q":
+            kids = node.children
             f = [node.lo - 1] + [c.hi for c in kids]
             iters += yield from _scan(f, [c.bstar for c in kids], b, min_size, 1)
+        elif b >= node.bstar and node.size >= min_size:  # a leaf has bstar and size 1
+            yield node.lo, ends, node.hi, node.hi + 1
     if stats is not None:
         stats.iterations += iters
 
@@ -143,8 +140,11 @@ def enumerate_b_nested_common(tree: PQTree, b: int, min_size: int = 1, stats: Sc
     child segment of a Q-node appears in its scan exactly when the node is
     b-nested, so node intervals are never emitted twice.
     """
-    for lo, ends in _common_runs(tree, b, min_size, stats):
-        yield from zip(repeat(lo), ends)
+    for lo, ends, i, j in _common_runs(tree, b, min_size, stats):
+        if j - i == 1:
+            yield lo, ends[i]
+        else:
+            yield from zip(repeat(lo), ends[i:j])
 
 
 def _step_terms(steps, h: int, b: int, d: int) -> tuple:

@@ -71,20 +71,19 @@ def annotate_conserved(tree: ConservedTree) -> None:
 
 
 def _conserved_runs(tree: ConservedTree, b: int, min_size: int = 1, stats: ScanStats | None = None):
-    """enumerate_b_nested_conserved's output, in order, as nonempty (lo, ascending ends) runs."""
-    _check_b(b)
-    if min_size < 1:
-        raise ValueError(f"min_size must be >= 1, got {min_size}")
+    """enumerate_b_nested_conserved's output, in order, as nonempty windows (lo,
+    ends, i, j) of ascending ends[i:j] over a node's frontiers, or one shared range."""
+    _check_b(b, min_size)
     annotate_conserved(tree)
+    ends = range(tree.n + 2)  # ends[v] == v; a unit's window ends at index v + 1
     if min_size <= 1:
-        units = range(1, tree.n + 1)
-        yield from zip(units, zip(units))
+        yield from zip(ends[1:-1], repeat(ends), ends[1:-1], ends[2:])
     node_min = max(2, min_size)
     iters = 0
     for node in tree.nodes:
         iters += yield from _scan(node.frontiers, node.tau, b, min_size, 0, full_last=True)
         if b >= node.bstar and node.size >= node_min:
-            yield node.lo, (node.hi,)
+            yield node.lo, ends, node.hi, node.hi + 1
     if stats is not None:
         stats.iterations += iters
 
@@ -97,8 +96,11 @@ def enumerate_b_nested_conserved(tree: ConservedTree, b: int, min_size: int = 1,
     per node the admissible frontier pairs in lexicographic index order with
     the full pair excluded, then the node interval itself when b-nested.
     """
-    for lo, ends in _conserved_runs(tree, b, min_size, stats):
-        yield from zip(repeat(lo), ends)
+    for lo, ends, i, j in _conserved_runs(tree, b, min_size, stats):
+        if j - i == 1:
+            yield lo, ends[i]
+        else:
+            yield from zip(repeat(lo), ends[i:j])
 
 
 def node_count_parts(node: ConservedNode, b: int) -> tuple:

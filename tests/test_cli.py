@@ -1,6 +1,7 @@
 """Front-end behavior: golden outputs, flag parity, exit codes, generators."""
 from __future__ import annotations
 
+import argparse
 import io
 import itertools
 import json
@@ -574,6 +575,40 @@ def test_enumerate_writes_the_library_order_and_its_sort(capsys, tmp_path, monke
                     code, out = _run(capsys, argv + [path])
                     assert (code, out) == (0, want), (mode, b, ms, sort, original)
     assert shared >= 3 * 3  # at least half the variants split a left end's runs
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+def test_writer_maps_end_lists_by_identity(monkeypatch, chunk):
+    """_emit_intervals keys each end list's strings by id(ends).  Windows over
+    lists built fresh and dropped after each window, whose ids CPython reuses,
+    and windows over a shared tuple and a range still write their own ends."""
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_WRITE_CHUNK", chunk)
+    rng = random.Random(2020)
+    n = 12
+    pset = core.normalize([rng.sample(range(1, 100), n)])
+    frontiers = tuple(sorted(rng.sample(range(1, n + 1), 6)))
+    units = range(n + 1)
+
+    def windows():
+        for _ in range(300):
+            lo, kind = rng.randint(1, n), rng.randrange(3)
+            ends = ([rng.randint(1, n) for _ in range(rng.randint(1, 5))] if kind == 0
+                    else frontiers if kind == 1 else units)
+            i = rng.randrange(len(ends))
+            yield lo, ends, i, rng.randint(i + 1, min(i + 4, len(ends)))
+
+    for sort, original in itertools.product((False, True), repeat=2):
+        state = rng.getstate()
+        pairs = [(lo, e) for lo, ends, i, j in windows() for e in ends[i:j]]
+        rng.setstate(state)
+        names = pset.original_of if original else range(n + 1)
+        want = "".join(f"{names[lo]} {names[e]}\n"
+                       for lo, e in (sorted(pairs, key=lambda p: p[0]) if sort else pairs))
+        sink = io.StringIO()
+        config = argparse.Namespace(sort=sort, original_labels=original)
+        assert cli._emit_intervals(windows(), pset, config, sink) == len(pairs)
+        assert sink.getvalue() == want, (sort, original)
 
 
 @pytest.mark.parametrize("mode", ["common", "conserved"])
