@@ -39,20 +39,21 @@ plus the wide (w >= 2) steps of the nodes wider than b.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import itemgetter
 
 from .pqtree import PQNode, PQTree
 
 
-@dataclass
 class ScanStats:
     """Work counter of the enumeration scans, for output-sensitivity checks:
     one step per start child (or start frontier) plus one per emitted
-    interval."""
+    interval.  Mutable: the scans add to `iterations`."""
 
-    iterations: int = 0
+    __slots__ = ("iterations",)
+
+    def __init__(self, iterations: int = 0):
+        self.iterations = iterations
 
 
 def _check_b(b: int, min_size: int = 1) -> None:

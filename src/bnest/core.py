@@ -15,9 +15,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 
 class PermutationError(ValueError):
@@ -59,7 +57,18 @@ class BadFrame(PermutationError):
         self.found = found
 
 
-class Interval(tuple):
+class _Fields(tuple):
+    """Base of the immutable value types: a tuple of the constructor's
+    arguments, read through itemgetter properties, so an instance compares
+    (and hashes, when every field does) by value and refuses assignment."""
+
+    __slots__ = ()
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)  # copy and pickle call __new__(cls, *fields)
+
+
+class Interval(_Fields):
     """Closed integer range (lo..hi), 1-based, lo <= hi: the value type of
     the trees and the oracle.  An immutable (lo, hi) tuple that compares,
     sorts and hashes as one; the enumerators yield plain pairs instead.
@@ -71,9 +80,6 @@ class Interval(tuple):
         if lo > hi:
             raise ValueError("empty interval (%d..%d)" % (lo, hi))
         return tuple.__new__(cls, (lo, hi))
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)  # copy and pickle call __new__(cls, lo, hi)
 
     lo = property(itemgetter(0), doc="left end")
     hi = property(itemgetter(1), doc="right end")
@@ -100,44 +106,47 @@ class Interval(tuple):
         return "Interval(lo=%r, hi=%r)" % self
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Unsigned permutation of {1..n} with an inverse position map.
+def _inverse(elements: list) -> tuple:
+    pos = [0] * (len(elements) + 1)
+    for p, v in enumerate(elements, start=1):
+        pos[v] = p
+    return tuple(pos)
 
-    `positions[v]` is the 1-based position of label v; index 0 is padding.
-    """
 
-    elements: tuple
-    positions: tuple = field(repr=False)
+class Permutation(_Fields):
+    """Unsigned permutation of {1..n} as an immutable (elements, positions)
+    tuple: `positions[v]` is the 1-based position of label v (index 0 pads)."""
+
+    __slots__ = ()
+
+    def __new__(cls, elements: tuple, positions: tuple) -> "Permutation":
+        return tuple.__new__(cls, (elements, positions))
+
+    elements, positions = map(property, map(itemgetter, range(2)))
 
     @staticmethod
-    def from_elements(elements: Sequence[int]) -> "Permutation":
-        n = len(elements)
-        pos = [0] * (n + 1)
-        for p, v in enumerate(elements, start=1):
-            pos[v] = p
-        return Permutation(tuple(elements), tuple(pos))
+    def from_elements(elements: list) -> "Permutation":
+        return Permutation(tuple(elements), _inverse(elements))
 
     @property
     def n(self) -> int:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
-    """Permutation of {1..n} with one sign (+1 or -1) per position."""
+class SignedPermutation(_Fields):
+    """Permutation of {1..n} with one sign (+1 or -1) per position, as an
+    immutable (elements, signs, positions) tuple."""
 
-    elements: tuple
-    signs: tuple
-    positions: tuple = field(repr=False)
+    __slots__ = ()
+
+    def __new__(cls, elements: tuple, signs: tuple, positions: tuple) -> "SignedPermutation":
+        return tuple.__new__(cls, (elements, signs, positions))
+
+    elements, signs, positions = map(property, map(itemgetter, range(3)))
 
     @staticmethod
-    def from_elements(elements: Sequence[int], signs: Sequence[int]) -> "SignedPermutation":
-        n = len(elements)
-        pos = [0] * (n + 1)
-        for p, v in enumerate(elements, start=1):
-            pos[v] = p
-        return SignedPermutation(tuple(elements), tuple(signs), tuple(pos))
+    def from_elements(elements: list, signs: list) -> "SignedPermutation":
+        return SignedPermutation(tuple(elements), tuple(signs), _inverse(elements))
 
     @property
     def n(self) -> int:
@@ -147,25 +156,25 @@ class SignedPermutation:
         return tuple(v * s for v, s in zip(self.elements, self.signs))
 
 
-@dataclass(frozen=True)
-class PermutationSet:
-    """K permutations over {1..n}, renumbered so perms[0] is the identity.
-
+class PermutationSet(_Fields):
+    """K permutations over {1..n}, renumbered so perms[0] is the identity:
+    an immutable (perms, n, K, signed, relabeling, original_of) tuple.
     relabeling maps an original label to its renumbered value; original_of is
     the inverse (index v holds the original label of renumbered v, index 0 is
     padding).  Sentinel elements added by framing have no original label and
     get the pseudo-labels recorded by `apply_frame`.
     """
 
-    perms: tuple
-    n: int
-    K: int
-    signed: bool
-    relabeling: dict = field(repr=False)
-    original_of: tuple = field(repr=False)
+    __slots__ = ()
+
+    def __new__(cls, perms: tuple, n: int, K: int, signed: bool, relabeling: dict,
+                original_of: tuple) -> "PermutationSet":
+        return tuple.__new__(cls, (perms, n, K, signed, relabeling, original_of))
+
+    perms, n, K, signed, relabeling, original_of = map(property, map(itemgetter, range(6)))
 
 
-def _check_raw(raw: Sequence[Sequence[int]]) -> int:
+def _check_raw(raw: list) -> int:
     if not raw:
         raise PermutationError("need at least one permutation")
     n = len(raw[0])
@@ -192,7 +201,7 @@ def _check_raw(raw: Sequence[Sequence[int]]) -> int:
     return n
 
 
-def normalize(raw: Sequence[Sequence[int]], signed: "bool | None" = None) -> PermutationSet:
+def normalize(raw: list, signed: "bool | None" = None) -> PermutationSet:
     """Renumber the input so the first permutation becomes the identity.
 
     `raw` holds K equal-length sequences of nonzero integers; a negative entry
@@ -201,7 +210,7 @@ def normalize(raw: Sequence[Sequence[int]], signed: "bool | None" = None) -> Per
     """
     n = _check_raw(raw)
     if signed is None:
-        signed = any(x < 0 for seq in raw for x in seq)
+        signed = min(map(min, raw)) < 0  # _check_raw: no row is empty
 
     first = raw[0]
     relabeling = {}
@@ -270,7 +279,7 @@ def apply_frame(pset: PermutationSet) -> PermutationSet:
     return normalize(raw, signed=True)
 
 
-def _to_original(pset: PermutationSet, signed_renumbered: Iterable[int]) -> list:
+def _to_original(pset: PermutationSet, signed_renumbered: tuple) -> list:
     out = []
     for x in signed_renumbered:
         orig = pset.original_of[abs(x)]
@@ -286,15 +295,8 @@ def is_common_interval(pset: PermutationSet, iv: Interval) -> bool:
     if not 1 <= lo <= hi <= pset.n:
         raise ValueError("interval (%d..%d) empty or out of range 1..%d" % (lo, hi, pset.n))
     for perm in pset.perms:
-        positions = perm.positions
-        pmin = pmax = positions[lo]
-        for v in range(lo + 1, hi + 1):
-            p = positions[v]
-            if p < pmin:
-                pmin = p
-            elif p > pmax:
-                pmax = p
-        if pmax - pmin != hi - lo:
+        span = perm.positions[lo:hi + 1]  # the positions of labels lo..hi
+        if max(span) - min(span) != hi - lo:
             return False
     return True
 
@@ -312,14 +314,8 @@ def is_conserved_interval(pset: PermutationSet, iv: Interval) -> bool:
     if not is_common_interval(pset, iv):
         return False
     for perm in pset.perms:
-        positions = perm.positions
-        pmin = pmax = positions[a]
-        for v in range(a + 1, c + 1):
-            p = positions[v]
-            if p < pmin:
-                pmin = p
-            elif p > pmax:
-                pmax = p
+        span = perm.positions[a:c + 1]
+        pmin, pmax = min(span), max(span)
         first = perm.elements[pmin - 1] * perm.signs[pmin - 1]
         last = perm.elements[pmax - 1] * perm.signs[pmax - 1]
         if not ((first == a and last == c) or (first == -c and last == -a)):

@@ -8,11 +8,12 @@ can be cross-checked end to end.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (
     Interval,
     PermutationSet,
+    _Fields,
     is_common_interval,
     is_conserved_interval,
 )
@@ -125,15 +126,19 @@ def frontier_set_of(family: set, iv: Interval) -> list:
     return fs
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    common: frozenset
-    conserved: frozenset
-    b_nested_common: frozenset
-    b_nested_conserved: frozenset
-    strong_common: frozenset
-    strong_conserved: frozenset
-    frontier_sets: dict
+class OracleResult(_Fields):
+    """Every view `evaluate` materializes, as an immutable tuple of six
+    frozensets of Intervals and the frontier_sets dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, common, conserved, b_nested_common, b_nested_conserved,
+                strong_common, strong_conserved, frontier_sets):
+        return tuple.__new__(cls, (common, conserved, b_nested_common, b_nested_conserved,
+                                   strong_common, strong_conserved, frontier_sets))
+
+    (common, conserved, b_nested_common, b_nested_conserved,
+     strong_common, strong_conserved, frontier_sets) = map(property, map(itemgetter, range(7)))
 
 
 def evaluate(pset: PermutationSet, b: int, bound: int = MAX_N) -> OracleResult:

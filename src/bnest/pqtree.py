@@ -30,7 +30,6 @@ conserved tree is assembled by the same routine.
 """
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 
 from .core import Interval, PermutationSet
@@ -91,7 +90,10 @@ class StrongTree:
     def to_json(self) -> str:
         """The nodes as nested JSON objects, each node's fields plus a
         "children" list, in the text json.dumps gives; json.dumps itself
-        recurses once per nesting level."""
+        recurses once per nesting level.  json is imported here, so only
+        `tree --json` loads it."""
+        import json
+
         parts = []
         stack = [self.root]  # nodes, and the separators and closers between them
         while stack:

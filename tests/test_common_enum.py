@@ -170,6 +170,7 @@ def test_scan_iteration_budget(n, K, seed):
     tree = build_pqtree(pset)
     for b in (1, 2):
         stats = ScanStats()
+        assert stats.iterations == 0
         emitted = sum(1 for _ in enumerate_b_nested_common(tree, b, 1, stats=stats))
         assert stats.iterations <= 4 * (n + emitted)
 
@@ -181,11 +182,11 @@ def test_scan_work_is_steps_plus_scan_output(common_corpus, b, min_size):
     Q scan yields; leaf and P-node intervals are not scan work."""
     for pset in common_corpus:
         tree = build_pqtree(pset)
-        stats = ScanStats()
+        stats = ScanStats(iterations=7)  # the scans add to a running count
         got = list(enumerate_b_nested_common(tree, b, min_size, stats=stats))
         steps = sum(len(nd.children) for nd in tree.nodes if nd.kind == "Q")
         unscanned = {(nd.lo, nd.hi) for nd in tree.nodes if nd.kind != "Q"}
-        assert stats.iterations == steps + sum(iv not in unscanned for iv in got)
+        assert stats.iterations == 7 + steps + sum(iv not in unscanned for iv in got)
 
 
 def test_monotone_in_b(gold_tree):

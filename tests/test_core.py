@@ -1,7 +1,12 @@
 """Primitives: intervals, normalization, frame validation, text format."""
 from __future__ import annotations
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +59,48 @@ def test_interval_is_an_immutable_pair():
     rng = random.Random(12)
     pairs = [tuple(sorted((rng.randint(1, 9), rng.randint(1, 9)))) for _ in range(50)]
     assert [tuple(iv) for iv in sorted(core.Interval(*p) for p in pairs)] == sorted(pairs)
+
+
+def test_value_types_compare_by_value_and_refuse_assignment():
+    """Permutation, SignedPermutation and PermutationSet are immutable
+    values: two normalizations of one input are equal, keyword construction
+    rebuilds an equal value, and no field (or new attribute) can be set."""
+    for raw, signed in ((GOLD_COMMON_RAW, None), (GOLD_CONSERVED_RAW, True)):
+        a, b = core.normalize(raw, signed), core.normalize(raw, signed)
+        assert a == b and a is not b and a.perms[1] == b.perms[1]
+        assert copy.deepcopy(a) == a == pickle.loads(pickle.dumps(a))
+        assert core.PermutationSet(perms=a.perms, n=a.n, K=a.K, signed=a.signed,
+                                   relabeling=a.relabeling, original_of=a.original_of) == a
+        perm_fields = ["elements", "positions"] + (["signs"] if signed else [])
+        targets = [(a, ["perms", "n", "K", "signed", "relabeling", "original_of"])]
+        targets += [(perm, perm_fields) for perm in a.perms]
+        for obj, names in targets:
+            for name in names + ["extra"]:
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, getattr(obj, name, None))
+    assert core.normalize(GOLD_COMMON_RAW) != core.normalize(GOLD_COMMON_RAW, signed=True)
+    perm = core.Permutation(elements=(2, 3, 1), positions=(0, 3, 1, 2))
+    assert perm == core.Permutation.from_elements([2, 3, 1]) and perm.n == 3
+    sperm = core.SignedPermutation(elements=(2, 1), signs=(-1, 1), positions=(0, 2, 1))
+    assert sperm == core.SignedPermutation.from_elements([2, 1], [-1, 1])
+    assert sperm.signed_elements() == (-2, 1) and sperm != perm
+
+
+def test_import_loads_no_unused_stdlib_modules():
+    """`import bnest` loads only bisect, itertools and operator from the
+    standard library, and the CLI loads none of dataclasses, inspect, ast,
+    dis, tokenize, json or typing.  -S keeps site's own imports out."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    loaded = {}
+    for module in ("bnest", "bnest.cli"):
+        code = f"import sys; b = set(sys.modules); import {module}; print(*set(sys.modules) - b)"
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+        loaded[module] = set(proc.stdout.split())
+        assert module in loaded[module]
+    assert not loaded["bnest.cli"] & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "typing"}
+    stdlib = {m for m in loaded["bnest"] if not m.startswith(("_", "bnest"))}
+    assert stdlib == {"bisect", "itertools", "operator"}
 
 
 def test_normalize_first_becomes_identity():

@@ -147,6 +147,13 @@ def test_frontier_set_is_maximal():
 
 def test_evaluate_bundles_every_view(gold_conserved_pset):
     res = oracle.evaluate(gold_conserved_pset, 2)
+    assert oracle.evaluate(gold_conserved_pset, 2) == res
+    views = ("common", "conserved", "b_nested_common", "b_nested_conserved",
+             "strong_common", "strong_conserved", "frontier_sets")
+    assert oracle.OracleResult(**{v: getattr(res, v) for v in views}) == res
+    for name in views + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(res, name, frozenset())
     assert res.conserved == ivset(GOLD_CONSERVED_WIDE) | singletons(9)
     assert res.strong_conserved == ivset({(1, 9), (2, 3), (6, 8)})
     assert res.frontier_sets[core.Interval(1, 9)] == (1, 4, 5, 9)
