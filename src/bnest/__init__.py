@@ -18,7 +18,6 @@ from .core import (
     PermutationSet,
     SignedPermutation,
     apply_frame,
-    format_permutations,
     is_common_interval,
     is_conserved_interval,
     normalize,
@@ -71,7 +70,6 @@ __all__ = [
     "count_b_nested_conserved",
     "enumerate_b_nested_common",
     "enumerate_b_nested_conserved",
-    "format_permutations",
     "irreducible_conserved_intervals",
     "is_common_interval",
     "is_conserved_interval",

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Command-line front end.
 
-Subcommands: tree, enumerate, count, oracle-check, gen, bench.  A run's config
+Subcommands: tree, enumerate, count, oracle-check.  A run's config
 is its argparse namespace, checked by `config_from_args`.  All interval
 output is in renumbered space (the first input permutation becomes the
 identity); --original-labels maps interval endpoints back through the
@@ -11,13 +11,11 @@ oracle mismatch, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
-import time
 from itertools import chain
 
 from . import core, oracle
-from .common_enum import ScanStats, _common_runs, count_b_nested_common, enumerate_b_nested_common
+from .common_enum import _common_runs, count_b_nested_common, enumerate_b_nested_common
 from .conserved_enum import _conserved_runs, count_b_nested_conserved, enumerate_b_nested_conserved
 from .conserved_tree import build_conserved_tree
 from .pqtree import build_pqtree
@@ -28,7 +26,6 @@ EXIT_MISMATCH = 2
 EXIT_IO = 3
 
 _WRITE_CHUNK = 1 << 16  # output lines per write
-MAX_GENERATED = 10 ** 7  # gen and bench build at most this many labels, n times K
 
 
 def _read_input(path: str) -> str:
@@ -120,6 +117,8 @@ def _action_count(config, out) -> int:
 
 def _action_oracle_check(config, out) -> int:
     pset = _load_pset(config)
+    if pset.n > oracle.MAX_N:  # before the tree: a large build would end in this refusal
+        raise oracle.BoundExceeded(pset.n, oracle.MAX_N)
     tree = _tree(config, pset)
     b, min_size = config.b, config.min_size
     if config.mode == "common":
@@ -151,129 +150,11 @@ def _action_oracle_check(config, out) -> int:
     return code
 
 
-def _uniform_raw(n: int, K: int, signed: bool, rng: random.Random) -> list:
-    """The identity and K-1 shuffles of it; signed shuffles keep the frame
-    +1 ... +n and sign each inner label at random."""
-    raw = [list(range(1, n + 1))]
-    for _ in range(K - 1):
-        if signed and n >= 2:
-            mid = list(range(2, n))
-            rng.shuffle(mid)
-            raw.append([1] + [v * rng.choice((1, -1)) for v in mid] + [n])
-        else:
-            p = list(range(1, n + 1))
-            rng.shuffle(p)
-            raw.append(p)
-    return raw
-
-
-def _planted_raw(n: int, K: int, depth: int, span: int, rng: random.Random) -> list:
-    """Nested value-range blocks, realized as contiguous runs in every
-    permutation so each block is a strong common interval."""
-    outer = min(max(span, depth + 1), n - 1)
-    sizes = [outer - t for t in range(depth) if outer - t >= 2]
-    blocks = []
-    lo = rng.randint(1, n - sizes[0] + 1) if n > sizes[0] else 1
-    for s in sizes:
-        blocks.append((lo, lo + s - 1))
-        if blocks[-1][1] - lo > 1:
-            lo = lo + rng.randint(0, 1)
-    raw = [list(range(1, n + 1))]
-    for _ in range(K - 1):
-        raw.append(_shuffle_with_blocks(n, blocks, rng))
-    return raw
-
-
-def _shuffle_with_blocks(n: int, blocks: list, rng: random.Random) -> list:
-    """Shuffle treating each block as one unit at its nesting level,
-    innermost level first, in time linear in n plus the depth."""
-    lo, hi = 1, n  # scope of the current level
-    free = []  # free[t]: ascending labels of level t's scope outside block t
-    for blo, bhi in blocks:
-        free.append(list(range(lo, min(hi, blo - 1) + 1)) + list(range(max(lo, bhi + 1), hi + 1)))
-        lo, hi = max(lo, blo), min(hi, bhi)
-    inner = list(range(lo, hi + 1))
-    rng.shuffle(inner)
-    heads, tails = [], []
-    for labels in reversed(free):
-        units = labels + [0]  # 0 stands for the arranged inner block
-        rng.shuffle(units)
-        at = units.index(0)
-        heads.append(units[:at])
-        tails.append(units[at + 1:])
-    flat = [v for head in reversed(heads) for v in head]
-    flat.extend(inner)
-    flat.extend(v for tail in tails for v in tail)
-    return flat
-
-
-def _tree_internal_depth(tree) -> int:
-    best = 0
-    stack = [(tree.root, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if not node.is_leaf:
-            best = max(best, depth)
-            stack.extend((c, depth + 1) for c in node.children)
-    return best
-
-
-def _action_gen(config, out) -> int:
-    rng = random.Random(config.seed)
-    n, K = config.n, config.K
-    if config.model == "uniform":
-        raw = _uniform_raw(n, K, config.signed, rng)
-    else:
-        if config.signed:
-            raise core.PermutationError("planted-nested generates unsigned sets")
-        if n < 3 or K < 2:
-            raise core.PermutationError("planted-nested needs n >= 3 and K >= 2")
-        want = config.depth + 1  # root plus the planted chain
-        for _ in range(64):
-            raw = _planted_raw(n, K, config.depth, config.span, rng)
-            if _tree_internal_depth(build_pqtree(core.normalize(raw))) >= want:
-                break
-        else:
-            raise core.PermutationError(
-                f"could not plant {config.depth} nested levels in n={n}, K={K}"
-            )
-    pset = core.normalize(raw, signed=config.signed or None)
-    out.write(core.format_permutations(pset))
-    return EXIT_OK
-
-
-def _action_bench(config, out) -> int:
-    rng = random.Random(config.seed)
-    conserved = config.mode == "conserved"
-    enum = enumerate_b_nested_conserved if conserved else enumerate_b_nested_common
-    out.write("n,K,b,nocc,build_us,enum_us,scan_iters\n")
-    for n in config.sizes:
-        sub = random.Random(rng.randrange(1 << 48))
-        if config.model == "planted-nested" and n >= 3 and config.K >= 2:
-            raw = _planted_raw(n, config.K, config.depth, config.span, sub)
-        else:
-            raw = _uniform_raw(n, config.K, False, sub)
-        pset = core.normalize(raw, signed=conserved or None)
-        t0 = time.perf_counter()
-        if conserved:
-            pset = core.apply_frame(pset)
-        tree = _tree(config, pset)
-        t1 = time.perf_counter()
-        stats = ScanStats()
-        nocc = sum(1 for _ in enum(tree, config.b, config.min_size, stats=stats))
-        t2 = time.perf_counter()
-        out.write(f"{pset.n},{config.K},{config.b},{nocc},"
-                  f"{int((t1 - t0) * 1e6)},{int((t2 - t1) * 1e6)},{stats.iterations}\n")
-    return EXIT_OK
-
-
 _ACTIONS = {
     "tree": _action_tree,
     "enumerate": _action_enumerate,
     "count": _action_count,
     "oracle-check": _action_oracle_check,
-    "gen": _action_gen,
-    "bench": _action_bench,
 }
 
 
@@ -285,7 +166,7 @@ def run(config, out=None) -> int:
     except ValueError as exc:  # PermutationError, BoundExceeded, UnicodeDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except MemoryError:  # a size under MAX_GENERATED can still exhaust a small machine
+    except MemoryError:  # a large input can exhaust a small machine
         print("error: out of memory", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
@@ -332,54 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--diff", action="store_true", help="print the symmetric difference")
 
-    p = subs.add_parser("gen", help="write a random permutation file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True, dest="K")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--model", choices=("uniform", "planted-nested"), default="uniform")
-    p.add_argument("--depth", type=int, default=2,
-                   help="planted nesting levels; each is the next one plus one element, so "
-                        "adjacent levels can merge into one Q-node, and deep chains over few "
-                        "permutations may fail to plant (exit 1), e.g. --n 300 --depth 20 --k 2")
-    p.add_argument("--span", type=int, default=3,
-                   help="outermost planted block size; levels shrink by one element each")
-    p.add_argument("--signed", action="store_true",
-                   help="uniform model: framed signed permutations")
-
-    p = subs.add_parser("bench", help="CSV timing/iteration report over generated instances")
-    p.add_argument("--sizes", default="1000,10000,100000",
-                   help="comma-separated n values")
-    p.add_argument("--k", type=int, default=4, dest="K")
-    p.add_argument("--b", type=int, default=2)
-    p.add_argument("--min-size", type=int, choices=(1, 2), default=2, dest="min_size")
-    p.add_argument("--mode", choices=("common", "conserved"), default="common")
-    p.add_argument("--model", choices=("uniform", "planted-nested"), default="planted-nested")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--span", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
-    """Check the parsed flags, which are the run's config, and return them with
-    --sizes parsed to a tuple; a bad value raises ValueError.  A generated
-    instance above MAX_GENERATED labels is refused here, before any work."""
-    if args.action == "bench":
-        try:
-            args.sizes = tuple(int(tok) for tok in args.sizes.split(",") if tok.strip())
-        except ValueError:
-            raise ValueError(f"bad --sizes value {args.sizes!r}") from None
-    for flag, dest, low in (("--b", "b", 1), ("--n", "n", 1), ("--k", "K", 1),
-                            ("--depth", "depth", 1), ("--span", "span", 2)):
-        if getattr(args, dest, low) < low:  # a subcommand without the flag passes
-            raise ValueError(f"{flag} must be >= {low}")
-    if args.action == "bench" and min(args.sizes, default=0) < 1:
-        raise ValueError("--sizes must list one or more sizes >= 1")
-    if args.action in ("gen", "bench"):  # both factors are >= 1 by now
-        flag, n = ("--n", args.n) if args.action == "gen" else ("--sizes", max(args.sizes))
-        if n * args.K > MAX_GENERATED:
-            raise ValueError(f"{flag} times --k must be <= {MAX_GENERATED}, got {n} * {args.K}")
+    """Check the parsed flags, which are the run's config, and return them;
+    a bad value raises ValueError."""
+    if args.b < 1:
+        raise ValueError("--b must be >= 1")
     return args
 
 

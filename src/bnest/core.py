@@ -338,8 +338,3 @@ def parse_permutations(text: str) -> list:
             raise PermutationError("line %d: %s" % (lineno, exc)) from None
         raw.append(row)
     return raw
-
-
-def format_permutations(pset: PermutationSet) -> str:
-    rows = (perm.signed_elements() if pset.signed else perm.elements for perm in pset.perms)
-    return "".join(" ".join(map(str, row)) + "\n" for row in rows)

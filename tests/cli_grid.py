@@ -18,7 +18,7 @@ The grid:
     `enumerate` --sort/--original-labels/--count-only combinations;
   - `oracle-check --diff` at the same b and min-size on the instances of at
     most 12 labels;
-  - 20 argument lists that must fail, and 12 `gen` runs.
+  - 14 argument lists that must fail.
 
 The file name has no test_ prefix, so pytest does not collect it.
 """
@@ -102,16 +102,7 @@ def argv_lists(files: list) -> list:
         ["count", "bad-duplicate.txt"],
         ["count", "empty.txt"],
         ["tree", "--json", "--b", "0", "gold-common.txt"],
-        ["gen", "--n", "0", "--k", "2"],
-        ["gen", "--n", "5"],
-        ["gen", "--n", "10000000", "--k", "2"],
-        ["gen", "--n", "5", "--k", "2", "--model", "planted-nested", "--signed"],
-        ["bench", "--sizes", ""],
-        ["bench", "--sizes", "5,x"],
     ]
-    for model, n, seed in itertools.product(("uniform", "signed", "planted-nested"), ("5", "40"), ("0", "1")):
-        flags = ["--signed"] if model == "signed" else ["--model", model]
-        cases.append(["gen", "--n", n, "--k", "3", "--seed", seed, *flags])
     return cases
 
 

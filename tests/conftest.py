@@ -4,8 +4,9 @@ Two goldens recur across the suite: a three-permutation unsigned set with a
 P root over three Q children, and a two-permutation signed framed set whose
 inclusion tree is a root with two children.  Expected families and counts
 were frozen from the brute-force oracle.  The seeded 500-instance corpora
-of the acceptance gate, and reference helpers that list weak intervals and
-per-pair verdicts straight from a tree, live here too.
+of the acceptance gate, the planted-nested instances of its scaling
+criterion, and reference helpers that list weak intervals and per-pair
+verdicts straight from a tree, live here too.
 """
 from __future__ import annotations
 
@@ -97,6 +98,46 @@ def random_unsigned_raw(rng: random.Random, n: int, K: int) -> list:
             p = [v for u in units for v in u]
         raw.append(p)
     return raw
+
+
+def planted_raw(n: int, K: int, depth: int, span: int, rng: random.Random) -> list:
+    """Nested value-range blocks, realized as contiguous runs in every
+    permutation so each block is a strong common interval."""
+    outer = min(max(span, depth + 1), n - 1)
+    sizes = [outer - t for t in range(depth) if outer - t >= 2]
+    blocks = []
+    lo = rng.randint(1, n - sizes[0] + 1) if n > sizes[0] else 1
+    for s in sizes:
+        blocks.append((lo, lo + s - 1))
+        if blocks[-1][1] - lo > 1:
+            lo = lo + rng.randint(0, 1)
+    raw = [list(range(1, n + 1))]
+    for _ in range(K - 1):
+        raw.append(_shuffle_with_blocks(n, blocks, rng))
+    return raw
+
+
+def _shuffle_with_blocks(n: int, blocks: list, rng: random.Random) -> list:
+    """Shuffle treating each block as one unit at its nesting level,
+    innermost level first, in time linear in n plus the depth."""
+    lo, hi = 1, n  # scope of the current level
+    free = []  # free[t]: ascending labels of level t's scope outside block t
+    for blo, bhi in blocks:
+        free.append(list(range(lo, min(hi, blo - 1) + 1)) + list(range(max(lo, bhi + 1), hi + 1)))
+        lo, hi = max(lo, blo), min(hi, bhi)
+    inner = list(range(lo, hi + 1))
+    rng.shuffle(inner)
+    heads, tails = [], []
+    for labels in reversed(free):
+        units = labels + [0]  # 0 stands for the arranged inner block
+        rng.shuffle(units)
+        at = units.index(0)
+        heads.append(units[:at])
+        tails.append(units[at + 1:])
+    flat = [v for head in reversed(heads) for v in head]
+    flat.extend(inner)
+    flat.extend(v for tail in tails for v in tail)
+    return flat
 
 
 def random_framed_raw(rng: random.Random, n: int, K: int) -> list:

@@ -31,6 +31,7 @@ from conftest import (
     GOLD_COMMON_RAW,
     GOLD_CONSERVED_RAW,
     ivset,
+    planted_raw,
     random_framed_raw,
     random_unsigned_raw,
     weak_b_nested,
@@ -198,7 +199,7 @@ def test_criterion_8_output_sensitive_scaling(capsys):
     built = []
     for n in (10**3, 10**4, 10**5):
         rng = random.Random(10_000 + n)
-        raw = cli._planted_raw(n, 4, 6, 8, rng)
+        raw = planted_raw(n, 4, 6, 8, rng)
         t0 = time.perf_counter()
         pset = core.normalize(raw)
         tree = build_pqtree(pset)

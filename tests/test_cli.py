@@ -1,4 +1,4 @@
-"""Front-end behavior: golden outputs, flag parity, exit codes, generators."""
+"""Front-end behavior: golden outputs, flag parity, exit codes."""
 from __future__ import annotations
 
 import argparse
@@ -266,6 +266,21 @@ def test_oracle_check_diff_prints_ranges(capsys, gold_common_file, monkeypatch):
     assert all(re.fullmatch(r"  (missing|spurious) \(\d+\.\.\d+\)", line) for line in listed)
 
 
+def test_oracle_check_refuses_large_n_before_building_the_tree(capsys, tmp_path, monkeypatch):
+    """Past the oracle's bound, oracle-check exits 1 with the oracle's own
+    message and builds no tree first."""
+    def unbuilt(pset):
+        raise AssertionError("the tree was built")
+    monkeypatch.setattr(cli, "build_pqtree", unbuilt)
+    monkeypatch.setattr(cli, "build_conserved_tree", unbuilt)
+    n = oracle.MAX_N + 1
+    path = _write(tmp_path, "large.txt", [list(range(1, n + 1)), [1, *range(n - 1, 1, -1), n]])
+    for mode in ("common", "conserved"):
+        assert cli.main(["oracle-check", "--mode", mode, "--b", "2", path]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {oracle.BoundExceeded(n, oracle.MAX_N)}\n")
+
+
 @pytest.mark.parametrize("mode, raw, oracle_count", [
     ("common", [[1, 2, 3, 4], [2, 1, 4, 3]], 2),
     ("conserved", GOLD_CONSERVED_RAW, 5),
@@ -280,56 +295,10 @@ def test_oracle_check_prints_both_counts(capsys, tmp_path, monkeypatch, mode, ra
     assert (code, out) == (cli.EXIT_MISMATCH, f"MISMATCH count: fast=42 oracle={oracle_count}\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["gen", "--n", "5", "--k", "2", "--model", "planted-nested", "--depth", "0"],
-    ["gen", "--n", "5", "--k", "2", "--model", "planted-nested", "--depth", "-3"],
-    ["gen", "--n", "5", "--k", "2", "--model", "planted-nested", "--span", "-4"],
-    ["bench", "--sizes", "10", "--depth", "0"],
-    ["bench", "--sizes", "10", "--k", "0"],
-    ["bench", "--sizes", "0"],
-    ["bench", "--sizes", "-3"],
-    ["bench", "--sizes", ","],
-    ["bench", "--sizes", "1,a"],
-])
-def test_bad_generator_flags_exit_validation(capsys, argv):
-    assert cli.main(argv) == cli.EXIT_VALIDATION
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-    with pytest.raises(ValueError):
-        cli.config_from_args(cli.build_parser().parse_args(argv))
-
-
-@pytest.mark.parametrize("argv", [
-    ["gen", "--n", "1000000000000", "--k", "2"],
-    ["gen", "--n", "5", "--k", "1000000000000"],
-    ["gen", "--n", str(cli.MAX_GENERATED), "--k", "2"],
-    ["bench", "--sizes", "1000000000000"],
-    ["bench", "--sizes", "10," + str(cli.MAX_GENERATED // 2 + 1), "--k", "2"],
-    ["bench", "--sizes", "10", "--k", str(cli.MAX_GENERATED + 1)],
-])
-def test_generated_size_ceiling_exits_validation(capsys, argv):
-    """n, K or n * K above the ceiling is refused before any work starts;
-    config_from_args raises first, so a missing check fails here rather
-    than building the instance."""
-    with pytest.raises(ValueError, match="times --k"):
-        cli.config_from_args(cli.build_parser().parse_args(argv))
-    assert cli.main(argv) == cli.EXIT_VALIDATION
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
-
-
-def test_generated_size_ceiling_is_inclusive():
-    for argv in (["gen", "--n", str(cli.MAX_GENERATED), "--k", "1"],
-                 ["bench", "--sizes", "1," + str(cli.MAX_GENERATED // 4), "--k", "4"]):
-        cli.config_from_args(cli.build_parser().parse_args(argv))  # checked, not run
-
-
-# Flag values: small, below range, past the generated-size ceiling or not a
-# number; never a size that builds a large instance.
+# Flag values: small, below range, huge or not a number.
 _SMALL = st.integers(1, 64).map(str)
 _WILD = st.one_of(_SMALL, st.integers(-64, 0).map(str), st.sampled_from(["x", "", "1e3"]),
-                  st.integers(cli.MAX_GENERATED + 1, 10 ** 30).map(str),
+                  st.integers(10 ** 7 + 1, 10 ** 30).map(str),
                   st.integers(-10 ** 30, -65).map(str))
 _LINES = st.lists(st.lists(st.one_of(st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30))))
 _BOOL_FLAGS = {
@@ -337,8 +306,6 @@ _BOOL_FLAGS = {
     "enumerate": ["--sort", "--original-labels", "--count-only", "--frame"],
     "count": ["--frame"],
     "oracle-check": ["--diff", "--frame"],
-    "gen": ["--signed"],
-    "bench": [],
 }
 
 
@@ -364,24 +331,10 @@ def _cli_case(draw):
     wild = draw(st.booleans())
     value = _WILD if wild else _SMALL
     argv = [action] + [flag for flag in _BOOL_FLAGS[action] if draw(st.booleans())]
-    if action in ("gen", "bench"):
-        if action == "gen":  # --n and --k are required
-            argv += ["--n", draw(value), "--k", draw(value)]
-        else:
-            sizes = draw(st.lists(value, min_size=0 if wild else 1, max_size=3))
-            argv += ["--sizes", ",".join(sizes)] + ["--k", draw(value)] * draw(st.booleans())
-        for flag in ("--seed", "--depth", "--span"):
-            if draw(st.booleans()):
-                argv += [flag, draw(value)]
-        argv += ["--model", draw(st.sampled_from(["uniform", "planted-nested"]))]
-    else:
-        argv += ["--b", draw(value), "--min-size", draw(st.sampled_from(["1", "2"]))]
-    if action != "gen":
-        argv += ["--mode", draw(st.sampled_from(["common", "conserved"]))]
+    argv += ["--b", draw(value), "--min-size", draw(st.sampled_from(["1", "2"]))]
+    argv += ["--mode", draw(st.sampled_from(["common", "conserved"]))]
     if wild and draw(st.booleans()):  # a usage error
         argv.append(draw(st.sampled_from(["--mode=foo", "--min-size=3", "--bogus", "--b"])))
-    if action in ("gen", "bench"):
-        return argv, None
     perms = _signed_perms().map(_text)
     undecodable = st.builds(lambda text, tail: text + b"\x80" + tail, perms, st.binary())
     return argv, draw(st.one_of(perms, perms, undecodable, _LINES.map(_text), st.binary(),
@@ -395,12 +348,11 @@ def test_cli_fuzz_exits_with_a_documented_code(case):
     extreme flag values: every run exits 0, 1 or 3, with no traceback."""
     argv, data = case
     with tempfile.TemporaryDirectory() as tmp:
-        if argv[0] not in ("gen", "bench"):
-            path = os.path.join(tmp, "input.txt")
-            if data is not None:  # else the file is missing
-                with open(path, "wb") as fh:
-                    fh.write(data)
-            argv = argv + [path]
+        path = os.path.join(tmp, "input.txt")
+        if data is not None:  # else the file is missing
+            with open(path, "wb") as fh:
+                fh.write(data)
+        argv = argv + [path]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             try:
@@ -429,8 +381,8 @@ def test_usage_errors_exit_validation(capsys, argv):
 
 
 def test_memory_error_exits_validation(capsys, gold_common_file, monkeypatch):
-    """A size under MAX_GENERATED can still exhaust memory; the parser is
-    made to raise, so nothing large is allocated."""
+    """A large input can exhaust memory; the parser is made to raise, so
+    nothing large is allocated."""
     def exhausted(text):
         raise MemoryError
     monkeypatch.setattr(core, "parse_permutations", exhausted)
@@ -443,78 +395,6 @@ def test_help_exits_ok(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "--help"])
     assert exc.value.code == 0 and "usage: bnest count" in capsys.readouterr().out
-
-
-def test_gen_deterministic(capsys):
-    code, first = _run(capsys, ["gen", "--n", "9", "--k", "3", "--seed", "7"])
-    code2, second = _run(capsys, ["gen", "--n", "9", "--k", "3", "--seed", "7"])
-    assert code == code2 == 0 and first == second
-    raw = core.parse_permutations(first)
-    assert raw[0] == list(range(1, 10)) and len(raw) == 3
-
-
-def test_gen_single_element(capsys):
-    code, out = _run(capsys, ["gen", "--n", "1", "--k", "1"])
-    assert (code, out) == (0, "1\n")
-
-
-def test_gen_planted_depth(capsys):
-    code, out = _run(capsys, ["gen", "--n", "9", "--k", "3", "--seed", "3",
-                              "--model", "planted-nested",
-                              "--depth", "2", "--span", "3"])
-    assert code == 0
-    tree = build_pqtree(core.normalize(core.parse_permutations(out)))
-    depth = 0
-    stack = [(tree.root, 1)]
-    while stack:
-        node, d = stack.pop()
-        if not node.is_leaf:
-            depth = max(depth, d)
-            stack.extend((c, d + 1) for c in node.children)
-    assert depth >= 3  # root plus the two planted levels
-
-
-def test_gen_planted_deep_nesting(capsys):
-    """Two thousand planted levels used to exceed the recursion limit."""
-    code = cli.main(["gen", "--model", "planted-nested", "--n", "3000",
-                     "--depth", "2000", "--span", "2500", "--k", "2", "--seed", "1"])
-    err = capsys.readouterr().err
-    assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION)
-    assert code == cli.EXIT_OK or "could not plant" in err
-
-
-def test_gen_signed_framed(capsys):
-    code, out = _run(capsys, ["gen", "--n", "8", "--k", "3", "--seed", "2",
-                              "--signed"])
-    assert code == 0
-    pset = core.normalize(core.parse_permutations(out), signed=True)
-    core.validate_conserved_frame(pset)  # must already be framed
-
-
-def test_gen_rejects_signed_planted(capsys):
-    assert cli.main(["gen", "--n", "9", "--k", "3",
-                     "--model", "planted-nested", "--signed"]) == 1
-    capsys.readouterr()
-
-
-def test_bench_csv_shape(capsys):
-    code, out = _run(capsys, ["bench", "--sizes", "30,60", "--k", "3",
-                              "--b", "2", "--seed", "1"])
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "n,K,b,nocc,build_us,enum_us,scan_iters"
-    assert len(lines) == 3
-    for line in lines[1:]:
-        cells = line.split(",")
-        assert len(cells) == 7 and all(int(c) >= 0 for c in cells)
-
-
-def test_bench_conserved_reports_the_framed_n(capsys):
-    """A conserved bench instance is framed by two sentinels, so --sizes 5
-    builds and reports n = 7."""
-    code, out = _run(capsys, ["bench", "--sizes", "5", "--mode", "conserved", "--b", "2"])
-    assert code == 0
-    assert out.splitlines()[1].startswith("7,")
 
 
 def _reversals_raw(rng: random.Random, n: int, K: int, signed: bool) -> list:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnest import cli, core, oracle
+from bnest import core, oracle
 from bnest.common_enum import (
     ScanStats,
     annotate,
@@ -16,7 +16,7 @@ from bnest.common_enum import (
     qnode_count_parts,
 )
 from bnest.pqtree import build_pqtree
-from conftest import GOLD_COMMON_RAW, ivset, random_unsigned_raw
+from conftest import ivset, planted_raw, random_unsigned_raw
 
 # Post-order over nodes, lexicographic (start, end) within a Q scan.
 GOLD_ORDER_B1_MIN2 = [
@@ -230,7 +230,7 @@ def test_count_matches_enumerate_at_gate_scale(shape):
     """count equals the number enumerated and grows with b, at the sizes
     the benchmark and the scaling gate run."""
     if shape == "planted-1e4":
-        raw = cli._planted_raw(10**4, 4, 6, 8, random.Random(20_000))
+        raw = planted_raw(10**4, 4, 6, 8, random.Random(20_000))
     else:
         raw = _reversed_blocks_raw(random.Random(12), 1200)
     tree = build_pqtree(core.normalize(raw))

@@ -89,7 +89,7 @@ def test_value_types_compare_by_value_and_refuse_assignment():
 def test_import_loads_no_unused_stdlib_modules():
     """`import bnest` loads only bisect, itertools and operator from the
     standard library, and the CLI loads none of dataclasses, inspect, ast,
-    dis, tokenize, json or typing.  -S keeps site's own imports out."""
+    dis, tokenize, json, typing or random.  -S keeps site's own imports out."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     loaded = {}
     for module in ("bnest", "bnest.cli"):
@@ -98,7 +98,8 @@ def test_import_loads_no_unused_stdlib_modules():
                               env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
         loaded[module] = set(proc.stdout.split())
         assert module in loaded[module]
-    assert not loaded["bnest.cli"] & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "typing"}
+    unused = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "typing", "random"}
+    assert not loaded["bnest.cli"] & unused
     stdlib = {m for m in loaded["bnest"] if not m.startswith(("_", "bnest"))}
     assert stdlib == {"bisect", "itertools", "operator"}
 
@@ -220,12 +221,17 @@ def test_apply_frame_wraps_with_sentinels():
     assert core.validate_conserved_frame(framed) is framed
 
 
+def _signed_text(pset) -> str:
+    """A signed set written back as input text, one permutation per line."""
+    return "".join(" ".join(map(str, perm.signed_elements())) + "\n" for perm in pset.perms)
+
+
 def test_parse_permutations_format():
     text = "# a comment\n1 2 3\n\n1 -3 -2\n"
     raw = core.parse_permutations(text)
     assert raw == [[1, 2, 3], [1, -3, -2]]
     pset = core.normalize(raw, signed=True)
-    assert core.parse_permutations(core.format_permutations(pset)) == [
+    assert core.parse_permutations(_signed_text(pset)) == [
         [1, 2, 3], [1, -3, -2]]
 
 
@@ -253,6 +259,6 @@ def test_framed_round_trip_through_text(n, K, seed):
     pset = core.normalize(raw, signed=True)
     core.validate_conserved_frame(pset)
     again = core.normalize(
-        core.parse_permutations(core.format_permutations(pset)), signed=True)
+        core.parse_permutations(_signed_text(pset)), signed=True)
     for a, c in zip(pset.perms, again.perms):
         assert a.signed_elements() == c.signed_elements()
