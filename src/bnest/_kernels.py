@@ -27,18 +27,19 @@ Intersection.  Membership is a conjunction over the permutations, so the
 elementwise min R0 of the Sups and max L0 of the Infs are exact bounds:
 (i..j) is common iff j <= R0[i] and L0[j] <= i.  Each sweep lowers the
 running minimum as it goes, so no per-row list is kept.  They need not be
-canonical; one DSU pass makes R so, and the same pass on the mirror image
-makes L so.  The conserved family uses the same sweep with each label's
+canonical; one DSU pass makes R so, and a stack sweep of its arcs makes L
+so.  The conserved family uses the same sweep with each label's
 orientation: a label that must open its block shuts out the run on its
 left, so Sup(i) = min(f, m) - 1 with m the minimum label of that run and f
 the next minimum in the list; one that must close it shuts out its right
 run.  Inf sweeps complemented labels, so there the shut-out side flips.
 The whole generator is O(Kn) Python steps on lists, plus the built-in sort
-that orders each DSU pass's kills (Bergeron, Chauve, de Montgolfier &
+that orders the DSU pass's kills (Bergeron, Chauve, de Montgolfier &
 Raffinot, SIAM J. Discrete Math. 22(3), 2008).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import not_
 
 
@@ -86,8 +87,7 @@ def _sup(row, side, bound: list) -> None:
 
 def mirror(X: list, n: int) -> list:
     """X read from the other end: position and value x become n-1-x.  It
-    turns a left-end bound into a right-end one and back, so each sweep
-    below is written once, for one side."""
+    turns the Sup sweep of complemented labels into the Inf bound."""
     return [n - 1 - x for x in reversed(X)]
 
 
@@ -113,7 +113,8 @@ def exact_bounds(rows, n: int, opens=None) -> tuple:
 
 def _canonical_right(R0: list, L0: list, n: int) -> list:
     """R[i] = max{j <= R0[i] : L0[j] <= i}: sweep i down, killing right
-    ends whose L0 threshold passes, in the order of one sort by L0."""
+    ends whose L0 threshold passes, in the order of one sort by L0.  A
+    killed j points to j - 1; i is live, as L0[i] <= i."""
     order = sorted(range(n), key=L0.__getitem__)
     k = n
     par = list(range(n))
@@ -123,15 +124,32 @@ def _canonical_right(R0: list, L0: list, n: int) -> list:
             k -= 1
             j = order[k]
             par[j] = j - 1
-        R[i] = find_left(par, R0[i])
+        x = root = R0[i]
+        if par[x] != x:
+            while par[root] != root:
+                root = par[root]
+            while par[x] != root:
+                par[x], x = root, par[x]
+        R[i] = root
     return R
 
 
 def canonicalize(R0: list, L0: list, n: int) -> tuple:
     """Canonical (R, L) from exact bounds: R[i] = max{j <= R0[i] : L0[j] <= i}
-    and its mirror image L[j] = min{i >= L0[j] : R0[i] >= j}."""
+    and L[j] = min{i >= L0[j] : R[i] >= j}.  The family must be closed under
+    the union of overlapping members; then the arcs (i..R[i]) covering j
+    nest, and a stack of them popped as they end holds the i <= j with
+    R[i] >= j, ascending."""
     R = _canonical_right(R0, L0, n)
-    return R, mirror(_canonical_right(mirror(L0, n), mirror(R0, n), n), n)
+    L = L0[:]
+    stack = []
+    for j in range(n):
+        while stack and R[stack[-1]] < j:
+            stack.pop()
+        stack.append(j)
+        if L0[j] < j:  # else L[j] = j
+            L[j] = stack[bisect_left(stack, L0[j])]
+    return R, L
 
 
 def canonical_generator(posmat, n: int) -> tuple:
@@ -163,15 +181,3 @@ def position_matrix(perms) -> _PositionRows:
     rows.shape, rows.size = (len(rows), n), len(rows) * n
     return rows
 
-
-def find_left(par, x):
-    """Largest live index <= x in a kill-to-the-left DSU, -1 if none.
-
-    par[x] == x marks x live; killing x sets par[x] = x - 1.
-    """
-    root = x
-    while root >= 0 and par[root] != root:
-        root = par[root]
-    while x >= 0 and par[x] != x:
-        par[x], x = root, par[x]
-    return root

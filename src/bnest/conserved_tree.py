@@ -19,10 +19,10 @@ when a (or c) joins its neighbour runs, the run on the side it must not
 extend into is shut out.  A pair whose ends have mixed signs in a row
 fails that row: +a and -c would both have to come first in one block of
 two or more positions, -a and +c both last.  The exact bounds therefore
-yield, after one DSU pass to restore canonicity, the canonical generator
-(R, L) of the conserved family on the n labels, and the PQ-tree's
-strong-interval sweep and assembly build the tree, leaving the unit
-intervals out.
+yield, as the family is closed under the union of overlapping members,
+the canonical generator (R, L) of the conserved family on the n labels,
+and the PQ-tree's strong-interval sweeps and assembly build the tree,
+leaving the unit intervals out.
 """
 from __future__ import annotations
 
@@ -112,9 +112,10 @@ def build_conserved_tree(pset: PermutationSet) -> ConservedTree:
     def mem(i, j):  # 0-based, i < j
         return j <= R[i] and L[j] <= i
 
+    # A unit is a node only as the root of n = 1; dict.get answers without a Python call.
+    leaf = {0: ConservedNode(1, 1, (1,))}.get if n == 1 else {}.get
+
     def make(i, j, kids):
-        if i == j:  # a unit interval is a node only as the root of n = 1
-            return ConservedNode(1, 1, (1,)) if n == 1 else None
         # Frontiers: the ends, plus every element covered by no child whose
         # two sides are both conserved.  Interior frontiers are never inside
         # a child (the side intervals would overlap that strong child), so
@@ -142,7 +143,7 @@ def build_conserved_tree(pset: PermutationSet) -> ConservedTree:
         return node
 
     lo, hi = _strong_bounds(R, L, n)
-    return ConservedTree(_assemble(lo, hi, n, make), n)
+    return ConservedTree(_assemble(lo, hi, n, make, leaf), n)
 
 
 def irreducible_conserved_intervals(tree: ConservedTree) -> list:

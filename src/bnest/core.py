@@ -184,15 +184,16 @@ def _check_raw(raw: list) -> int:
     for k, seq in enumerate(raw):
         if len(seq) != n:
             raise LengthMismatch(k, n, len(seq))
-        seen = set()
-        for x in seq:
-            if x == 0:
-                raise NotAPermutation(k, 0, reason="label 0 cannot carry a sign")
-            a = abs(x)
-            if a in seen:
-                raise DuplicateElement(k, a)
-            seen.add(a)
-        label_sets.append(seen)
+        labels = set(map(abs, seq))
+        if len(labels) != n or 0 in labels:  # name the first bad label
+            seen = set()
+            for a in map(abs, seq):
+                if a == 0:
+                    raise NotAPermutation(k, 0, reason="label 0 cannot carry a sign")
+                if a in seen:
+                    raise DuplicateElement(k, a)
+                seen.add(a)
+        label_sets.append(labels)
     base = label_sets[0]
     for k, labels in enumerate(label_sets[1:], start=1):
         if labels != base:
@@ -212,15 +213,10 @@ def normalize(raw: list, signed: "bool | None" = None) -> PermutationSet:
     if signed is None:
         signed = min(map(min, raw)) < 0  # _check_raw: no row is empty
 
-    first = raw[0]
-    relabeling = {}
-    original_of = [0] * (n + 1)
-    sign_in_first = {}
-    for p, x in enumerate(first, start=1):
-        a = abs(x)
-        relabeling[a] = p
-        original_of[p] = a
-        sign_in_first[a] = -1 if x < 0 else 1
+    first = list(map(abs, raw[0]))
+    relabeling = dict(zip(first, range(1, n + 1)))
+    if signed:
+        sign_in_first = {abs(x): -1 if x < 0 else 1 for x in raw[0]}
 
     perms = []
     for seq in raw:
@@ -237,7 +233,7 @@ def normalize(raw: list, signed: "bool | None" = None) -> PermutationSet:
         K=len(perms),
         signed=signed,
         relabeling=relabeling,
-        original_of=tuple(original_of),
+        original_of=(0, *first),
     )
 
 

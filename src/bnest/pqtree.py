@@ -22,18 +22,17 @@ Strongness decouples per endpoint into i >= lo[j] and j <= hi[i], with
   hi[i] = min(R[i], min{j' >= i : L[j'] < i})
 
 because an overlap witness on the right is exactly an i' in (i..j] whose arc
-leaves j behind, and symmetrically on the left.  hi is the mirror image of
-lo: the lo sweep run on the mirrored generator, mirrored back.  A sweep over
-right ends j with a top-down list of live left ends emits the strong pairs
-in post-order, so the tree assembles with one stack and no recursion; the
-conserved tree is assembled by the same routine.
+leaves j behind, and symmetrically on the left.  Each is one stack sweep.
+A sweep over right ends j with a top-down list of live left ends meets the
+strong pairs in post-order, so the tree assembles with one stack and no
+recursion; the conserved tree is assembled by the same routine.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 
 from .core import Interval, PermutationSet
-from ._kernels import canonical_generator, find_left, mirror, position_matrix
+from ._kernels import canonical_generator, position_matrix
 
 
 class InternalStructureError(RuntimeError):
@@ -123,73 +122,61 @@ class PQTree(StrongTree):
         return {"kind": node.kind, "lo": node.lo, "hi": node.hi}
 
 
-def _strong_lo(R: list, L: list, n: int) -> list:
-    """lo[j] = max(L[j], max{i <= j : R[i] > j}); kill i, in R order, once its arc ends."""
-    order = sorted(range(n), key=R.__getitem__)
-    k = 0
-    par = list(range(n))
-    lo = [0] * n
-    for j in range(n):
-        while k < n and R[order[k]] == j:
-            i = order[k]
-            k += 1
-            par[i] = i - 1
-        mb = find_left(par, j)
-        lj = L[j]
-        lo[j] = lj if lj > mb else mb
-    return lo
-
-
 def _strong_bounds(R: list, L: list, n: int):
     """Per-endpoint strongness bounds lo[j], hi[i], both 0-based arrays."""
-    return _strong_lo(R, L, n), mirror(_strong_lo(mirror(L, n), mirror(R, n), n), n)
-
-
-def _emit_strong(lo, hi, n):
-    """Yield strong pairs (i, j), 0-based, right ends ascending and inner
-    intervals before outer ones; that order is post-order of the tree."""
-    below = [-1] * n
-    top = -1
+    lo = L[:]
+    stack = []
     for j in range(n):
-        below[j] = top
-        top = j
-        prev = -1
-        cur = top
-        lj = lo[j]
-        while cur >= lj:
-            nxt = below[cur]
-            if hi[cur] >= j:
-                yield cur, j
-                prev = cur
-            else:
-                # hi is static and j only grows: cur is dead for good.
-                if prev == -1:
-                    top = nxt
-                else:
-                    below[prev] = nxt
-            cur = nxt
+        if R[j] > j:
+            stack.append(j)
+        while stack and R[stack[-1]] <= j:
+            stack.pop()
+        if stack and stack[-1] > lo[j]:
+            lo[j] = stack[-1]
+    hi = R[:]
+    stack = []
+    for i in range(n - 1, -1, -1):
+        if L[i] < i:
+            stack.append(i)
+        while stack and L[stack[-1]] >= i:
+            stack.pop()
+        if stack and stack[-1] < hi[i]:
+            hi[i] = stack[-1]
+    return lo, hi
 
 
-def _assemble(lo: list, hi: list, n: int, make) -> list:
+def _assemble(lo: list, hi: list, n: int, make, leaf) -> list:
     """Nodes of the strong-interval tree, post-order, root last.
 
-    make(i, j, kids) builds the node of strong pair (i, j), 0-based, from
-    its finished children in order (a shared () when it has none), or
-    returns None to leave the pair out of the tree.
+    leaf(j) builds the node of strong pair (j, j), 0-based, and
+    make(i, j, kids), i < j, that of (i, j) from its finished children in
+    order (a shared () when it has none); either returns None to leave the
+    pair out of the tree.
     """
     nodes = []
     starts, done = [], []  # finished subtrees, disjoint: 0-based left ends and nodes
-    for i, j in _emit_strong(lo, hi, n):
-        kids = ()
-        if starts and starts[-1] >= i:
-            t = bisect_left(starts, i)  # the finished subtrees inside (i..j)
-            kids = done[t:]
-            del starts[t:], done[t:]
-        node = make(i, j, kids)
-        if node is not None:
-            nodes.append(node)
-            starts.append(i)
-            done.append(node)
+    below = list(range(-1, n - 1))  # the next live left end under each
+    for j in range(n):
+        cur = j
+        lj = lo[j]
+        while cur >= lj:
+            nxt = below[cur]
+            if hi[cur] < j:
+                # hi is static and j only grows: cur is dead for good.
+                below[prev] = nxt
+            else:
+                kids = ()
+                if starts and starts[-1] >= cur:
+                    t = bisect_left(starts, cur)  # finished subtrees inside (cur..j)
+                    kids = done[t:]
+                    del starts[t:], done[t:]
+                node = make(cur, j, kids) if cur < j else leaf(j)
+                if node is not None:
+                    nodes.append(node)
+                    starts.append(cur)
+                    done.append(node)
+                prev = cur
+            cur = nxt
     if len(done) != 1 or (done[0].lo, done[0].hi) != (1, n):
         raise InternalStructureError("strong intervals did not close into one tree")
     return nodes
@@ -202,9 +189,10 @@ def build_pqtree(pset: PermutationSet) -> PQTree:
     lo, hi = _strong_bounds(R, L, n)
 
     def make(i, j, kids):
-        if i == j:
-            return PQNode(i + 1, i + 1, "LEAF")
         a, b = kids[0].lo - 1, kids[1].hi - 1  # Q iff the first two children merge
         return PQNode(i + 1, j + 1, "Q" if b <= R[a] and L[b] <= a else "P", kids)
 
-    return PQTree(_assemble(lo, hi, n, make), n)
+    def leaf(j):
+        return PQNode(j + 1, j + 1, "LEAF")
+
+    return PQTree(_assemble(lo, hi, n, make, leaf), n)

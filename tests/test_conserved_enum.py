@@ -18,7 +18,6 @@ from bnest.conserved_enum import (
 )
 from bnest.conserved_tree import build_conserved_tree
 from conftest import (
-    GOLD_CONSERVED_RAW,
     ivset,
     random_framed_raw,
     signed_inversions_raw,

@@ -15,7 +15,6 @@ from bnest.conserved_tree import (
     irreducible_conserved_intervals,
 )
 from conftest import (
-    GOLD_CONSERVED_RAW,
     canonical_bounds,
     generator_family,
     ivset,

@@ -145,6 +145,21 @@ def test_normalize_rejects_bad_input():
         core.normalize([[0, 1]])
 
 
+@pytest.mark.parametrize("raw, error, message", [
+    # Rows are checked for duplicates one by one before any label set is
+    # compared, so row 2's duplicate wins over row 1's foreign label.
+    ([[1, 2, 3], [1, 2, 4], [3, 1, 3]], core.DuplicateElement,
+     "permutation 2: duplicate label: 3"),
+    ([[1, 2, 3], [2, -2, 0]], core.DuplicateElement, "permutation 1: duplicate label: 2"),
+    ([[1, 2, 3], [0, 2, 2]], core.NotAPermutation,
+     "permutation 1: label 0 cannot carry a sign: 0"),
+])
+def test_normalize_names_the_first_bad_label(raw, error, message):
+    with pytest.raises(error) as info:
+        core.normalize(raw)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_is_common_interval_golden():
     pset = core.normalize(GOLD_COMMON_RAW)
     wide = ivset(GOLD_COMMON_WIDE)

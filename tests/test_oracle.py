@@ -15,7 +15,6 @@ from bnest import core, oracle
 from conftest import (
     GOLD_COMMON_RAW,
     GOLD_COMMON_WIDE,
-    GOLD_CONSERVED_RAW,
     GOLD_CONSERVED_WIDE,
     ivset,
     random_framed_raw,

@@ -7,7 +7,7 @@ import pytest
 
 import bnest
 from bnest import conserved_tree, core, oracle
-from bnest._kernels import canonical_generator, mirror, position_matrix
+from bnest._kernels import canonical_generator, canonicalize, exact_bounds, mirror, position_matrix
 from bnest.common_enum import count_b_nested_common
 from bnest.conserved_tree import _conserved_generator
 from bnest.pqtree import (
@@ -19,7 +19,6 @@ from bnest.pqtree import (
     build_pqtree,
 )
 from conftest import (
-    GOLD_COMMON_RAW,
     canonical_bounds,
     generator_family,
     ivset,
@@ -186,13 +185,36 @@ def test_generator_is_canonical():
 
 def test_assemble_rejects_pairs_that_never_close():
     # Every position is its own strong pair: three leaves and no root.
-    def leaf(i, j, kids):
-        return PQNode(i + 1, j + 1, "LEAF")
+    def make(i, j, kids):
+        raise AssertionError("no pair (i, j) with i < j is strong here")
+
+    def leaf(j):
+        return PQNode(j + 1, j + 1, "LEAF")
 
     with pytest.raises(InternalStructureError):
-        _assemble([0, 1, 2], [0, 1, 2], 3, leaf)
+        _assemble([0, 1, 2], [0, 1, 2], 3, make, leaf)
     assert bnest.InternalStructureError is InternalStructureError
     assert conserved_tree.InternalStructureError is InternalStructureError
+
+
+def test_canonicalize_matches_its_definition():
+    """The canonical generator from real exact bounds of both families
+    against its formulas: R[i] = max{j <= R0[i] : L0[j] <= i} and
+    L[j] = min{i >= L0[j] : R0[i] >= j}."""
+    rng = random.Random(606)
+    for t in range(240):
+        n = rng.randint(1, 40)
+        K = rng.randint(1, 4)
+        if t % 2 and n >= 2:
+            pset = core.normalize(random_framed_raw(rng, n, K), signed=True)
+            rows, opens = conserved_tree._doubled_position_matrix(pset)
+            R0, L0 = exact_bounds(rows, n, opens)
+        else:
+            pset = core.normalize(random_unsigned_raw(rng, n, K))
+            R0, L0 = exact_bounds(position_matrix(pset.perms), n)
+        R = [max(j for j in range(i, R0[i] + 1) if L0[j] <= i) for i in range(n)]
+        L = [min(i for i in range(L0[j], j + 1) if R0[i] >= j) for j in range(n)]
+        assert canonicalize(R0, L0, n) == (R, L)
 
 
 def test_mirror_is_an_involution():
