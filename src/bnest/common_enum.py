@@ -2,39 +2,34 @@
 
 An interval is b-nested when it is a singleton or strictly contains another
 b-nested interval of the family losing at most b elements.  The family only
-grows with b, so every tree node has a threshold bstar, the least b at which
-its interval is b-nested.  One post-order pass (annotate) computes them all,
-children first:
+grows with b, so every node has a threshold bstar, the least b at which its
+interval is b-nested.  One post-order pass (annotate) sets them all on the
+stored nodes, a leaf having size and bstar 1:
 
-  leaf    bstar = 1,
-  P-node  bstar = max(1, min over children c of max(bstar(c), size - size(c))),
-          since it is b-nested iff some b-nested child has size >= size - b,
-  Q-node  bstar = max(s2, min(s1, bstar(c1))), with s1 >= s2 the two largest
-          child sizes and c1 a largest child, since it is b-nested iff at
-          most one child is b-large (size > b) and any such child is itself
-          b-nested.
-
-The pass runs once per tree, and the readers below test b >= bstar.
+  P-node  bstar = max(1, min over children c of max(bstar(c), size - size(c))):
+          b-nested iff some b-nested child has size >= size - b,
+  Q-node  bstar = max(s2, min(s1, bstar(c1))), s1 >= s2 the two largest
+          child sizes and c1 a largest child: b-nested iff at most one
+          child is b-large (size > b), and that one is b-nested.
 
 One step scan (_scan) enumerates both families.  A node is a sequence of
 steps over ascending ends f: step t spans (f[t]+d .. f[t+1]), has width
 w_t = f[t+1] - f[t] and threshold tau_t, and is a gap at b if w_t > b.  A
-Q-node's steps are its children (f = lo - 1 then the child his, tau their
-bstar, d = 1, since weak intervals are unions of >= 2 consecutive
-children); a conserved node's are its frontier steps (conserved_enum,
-d = 0).  A run of steps is b-nested iff it holds at most one gap, and that
-one good (b >= tau).  With the next gap precomputed, each start jumps to its
-last end in O(1), a bisect on the ends honours min_size, and the run is one
-uncopied window (lo, f, i, j) of ends f[i:j] (flattened by the public
-enumerators): one step per start plus one per output.
+Q-node's steps are its children (f its ends, tau their bstar, d = 1, as
+weak intervals are unions of >= 2 consecutive children); a conserved
+node's are its frontier steps (conserved_enum, d = 0).  A run of steps is
+b-nested iff it holds at most one gap, and that one good (b >= tau).  With
+the next gap precomputed each start jumps to its last end, a bisect on the
+ends honours min_size, and the run is one uncopied window (lo, f, i, j) of
+ends f[i:j]: one step per start plus one per output.
 
 Counting uses the same steps.  At b a maximal run of h plain steps gives
-h*(h+1)/2 - d*h weak intervals and a good gap with l and r plain neighbours
-(l+1)*(r+1) - d.  The full segment is among them iff the node is b-nested,
-so Q-nodes add no node term; P-nodes add 1 from bstar on.  A node whose
-widest step is <= b is closed and adds its all-plain constant, so one index
-per tree keeps closing points with prefix sums: a count at b is one bisect
-plus the wide (w >= 2) steps of the nodes wider than b.
+h*(h+1)/2 - d*h weak intervals, and a good gap with l and r plain
+neighbours (l+1)*(r+1) - d.  The full segment is among them iff the node is
+b-nested, so Q-nodes add no node term; P-nodes add 1 from bstar on.  A node
+whose widest step is <= b is closed and adds its all-plain constant, so the
+tree's index keeps closing points with prefix sums: a count at b is one
+bisect plus the wide (w >= 2) steps of the nodes wider than b.
 """
 from __future__ import annotations
 
@@ -64,36 +59,35 @@ def _check_b(b: int, min_size: int = 1) -> None:
 
 
 def annotate(tree: PQTree) -> None:
-    """Set node.bstar on every node, children first.  Runs once per tree;
-    later calls return at once (trees are never changed after build)."""
+    """Set node.bstar on every stored node, children first, once per tree:
+    trees never change after build, so later calls return at once."""
     if tree.annotated:
         return
     for node in tree.nodes:  # post-order: children first
         kids = node.children
-        if not kids:
-            node.bstar = 1
-        elif node.kind == "P":
-            # Every term is >= bstar(c) >= 1, so no clamp to 1 is needed.
+        if node.kind == "P":
+            # Terms are >= bstar(c) >= 1; a leaf's, size - 1, tops the rest.
             size = node.size
-            node.bstar = min(max(c.bstar, size - c.size) for c in kids)
+            node.bstar = min((max(c.bstar, size - c.size) for c in kids), default=size - 1)
         else:
-            s1 = s2 = 0
-            c1 = None
+            # Floors of 1 for the leaves, also the stored leaf of n = 1.
+            s1 = s2 = b1 = 1
             for c in kids:
                 z = c.size
                 if z > s1:
-                    s1, s2, c1 = z, s1, c
+                    s1, s2, b1 = z, s1, c.bstar
                 elif z > s2:
                     s2 = z
-            node.bstar = max(s2, min(s1, c1.bstar))
+            node.bstar = max(s2, min(s1, b1))
     tree.annotated = True
 
 
 def _scan(f, tau, b, min_size, d, full_last=False):
     """Yield the nonempty runs of one node's steps at b, one window (f[a] + d,
     f, i, j) of ends f[i:j] per start step a, and return the scan work.
-    full_last leaves out the full run (a conserved node emits it last)."""
-    s = len(tau)
+    tau is read at gaps only.  full_last leaves out the full run (a
+    conserved node emits it last)."""
+    s = len(f) - 1
     next_gap = [s] * (s + 1)  # least step index >= t that is a gap, else s
     gap = s
     for t in range(s - 1, -1, -1):
@@ -116,17 +110,22 @@ def _scan(f, tau, b, min_size, d, full_last=False):
 
 def _common_runs(tree: PQTree, b: int, min_size: int = 1, stats: ScanStats | None = None):
     """enumerate_b_nested_common's output, in order, as nonempty windows (lo, ends,
-    i, j) of ascending ends[i:j] over a Q-node's f, or over one shared range."""
+    i, j) of ascending ends[i:j] over a Q-node's ends, or over one shared range."""
     _check_b(b, min_size)
     annotate(tree)
     ends = range(tree.n + 1)
+    node_min = max(2, min_size)  # singletons go out as leaves
+    last = 0  # the last leaf gone out
     iters = 0
     for node in tree.nodes:
+        if min_size <= 1 and node.hi > last:  # in post-order, the leaves up to node.hi
+            labels = range(last + 1, node.hi + 1)
+            yield from zip(labels, repeat(ends), labels, range(last + 2, node.hi + 2))
+            last = node.hi
         if node.kind == "Q":
-            kids = node.children
-            f = [node.lo - 1] + [c.hi for c in kids]
-            iters += yield from _scan(f, [c.bstar for c in kids], b, min_size, 1)
-        elif b >= node.bstar and node.size >= min_size:  # a leaf has bstar and size 1
+            tau = {c.parent_step: c.bstar for c in node.children}
+            iters += yield from _scan(node.ends, tau, b, min_size, 1)
+        elif b >= node.bstar and node.size >= node_min:
             yield node.lo, ends, node.hi, node.hi + 1
     if stats is not None:
         stats.iterations += iters
@@ -135,11 +134,10 @@ def _common_runs(tree: PQTree, b: int, min_size: int = 1, stats: ScanStats | Non
 def enumerate_b_nested_common(tree: PQTree, b: int, min_size: int = 1, stats: ScanStats | None = None):
     """Yield each b-nested common interval of size >= min_size once, as (lo, hi).
 
-    Order is deterministic: post-order over nodes; a leaf yields its
-    singleton, a P-node its own interval when b-nested, and a Q-node the
-    scan output in lexicographic (start child, end child) order.  The full
-    child segment of a Q-node appears in its scan exactly when the node is
-    b-nested, so node intervals are never emitted twice.
+    Order is deterministic: post-order over the tree and its leaves; a leaf
+    yields its singleton, a P-node its interval when b-nested, and a Q-node
+    its scan output in (start child, end child) order, which holds the full
+    segment exactly when the node is b-nested: no interval comes twice.
     """
     for lo, ends, i, j in _common_runs(tree, b, min_size, stats):
         if j - i == 1:
@@ -203,21 +201,18 @@ def qnode_count_parts(node: PQNode, b: int) -> tuple:
     """Count pieces of one Q-node of an annotated tree: (large_terms,
     run_terms), l*(r+1)+r per b-large b-nested child and h*(h-1)/2 per run
     of h b-small children, summing to its scan output at min_size <= 2."""
-    kids = node.children
-    return _step_terms([(t, c.size, c.bstar) for t, c in enumerate(kids)], len(kids), b, 1)
+    wide = [(c.parent_step, c.size, c.bstar) for c in node.children]
+    return _step_terms(wide, len(node.ends) - 1, b, 1)
 
 
 def _common_steps(tree: PQTree) -> tuple:
     annotate(tree)
     breaks, step_nodes = [], []
     for node in tree.nodes:
-        kids = node.children
         if node.kind == "P":
             breaks.append((node.bstar, 1))
-        elif kids:  # the child sizes sum to size: all are leaves when size == h
-            h = len(kids)
-            step_nodes.append((h, [(t, c.size, c.bstar) for t, c in enumerate(kids) if c.size > 1]
-                               if node.size > h else ()))
+        elif node.kind == "Q":
+            step_nodes.append((len(node.ends) - 1, [(c.parent_step, c.size, c.bstar) for c in node.children]))
     return breaks, step_nodes, 1
 
 

@@ -1,18 +1,17 @@
 """Enumerate and count b-nested conserved intervals on the inclusion tree.
 
 Every conserved interval of size >= 2 is a frontier pair (f_i..f_j) of
-exactly one strong node (the node interval itself being the full pair), so
-verdicts localize to the frontier steps of each node.  A step (f_l..f_{l+1})
-of size z > b+1 is a gap; a gap is good when some b-nested strong child lying
-in that step has size >= z - b, and bad otherwise.  A frontier pair is
-b-nested exactly when the steps it spans contain no bad gap and at most one
-gap, that one good; in particular a node's own interval is b-nested iff it
-has no gap or exactly one, good.
+exactly one strong node, the node interval being the full pair, so verdicts
+localize to the frontier steps of each node.  A step (f_l..f_{l+1}) of size
+z > b+1 is a gap; it is good when some b-nested strong child in that step
+has size >= z - b, and bad otherwise.  A frontier pair is b-nested exactly
+when its steps hold no bad gap and at most one gap, that one good; so a
+node's own interval is b-nested iff it has no gap or exactly one, good.
 
-All of these verdicts only improve as b grows, so each is a threshold,
-computed once per tree by one post-order pass (annotate_conserved).
-Children sit in one parent step each (their parent_step), and step t of
-size z_t is plain or a good gap iff b >= tau_t, where
+All of these verdicts only improve as b grows, so each is a threshold, set
+once per tree by one post-order pass (annotate_conserved).  Children sit in
+one parent step each (their parent_step), and step t of size z_t is plain
+or a good gap iff b >= tau_t, where
 
   tau_t = min(z_t - 1, min over children c in step t of
                        max(bstar(c), z_t - size(c))),
@@ -23,15 +22,11 @@ is plain iff b >= z_t - 1, a good gap iff z_t - 1 > b >= tau_t, and a bad
 gap otherwise.
 
 Enumeration runs common_enum's step scan over each node's frontiers
-(f = frontiers, tau, d = 0), with the full pair held back: the node
-interval follows its pairs if b-nested.
-
-Counting runs common_enum's step counter with w_t = z_t - 1 and d = 0: a
-maximal run of h plain steps holds h*(h+1)/2 pairs and a good gap with l
-and r plain neighbours (l+1)*(r+1), the full pair included, so the node
-interval needs no separate term.  A node whose widest step is <= b is
-closed and adds h*(h+1)/2 for its h steps; a count sums the closed nodes
-by one bisect and the steps of the nodes wider than b.
+(f = frontiers, tau, d = 0), holding back the full pair: the node interval
+follows its pairs if b-nested.  Counting runs common_enum's step counter
+with w_t = z_t - 1 and d = 0: a maximal run of h plain steps holds
+h*(h+1)/2 pairs and a good gap with l and r plain neighbours (l+1)*(r+1),
+the full pair included, so the node interval needs no term of its own.
 """
 from __future__ import annotations
 

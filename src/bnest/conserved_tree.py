@@ -18,11 +18,10 @@ first).  The per-row Sup(a) and Inf(c) sweeps of `_kernels` enforce this:
 when a (or c) joins its neighbour runs, the run on the side it must not
 extend into is shut out.  A pair whose ends have mixed signs in a row
 fails that row: +a and -c would both have to come first in one block of
-two or more positions, -a and +c both last.  The exact bounds therefore
-yield, as the family is closed under the union of overlapping members,
-the canonical generator (R, L) of the conserved family on the n labels,
-and the PQ-tree's strong-interval sweeps and assembly build the tree,
-leaving the unit intervals out.
+two or more positions, -a and +c both last.  Canonicalized (the family is
+closed under the union of overlapping members), the exact bounds give the
+conserved family's generator (R, L) on the n labels, and the PQ-tree's
+sweeps and assembly build the tree; unit pairs make no node.
 """
 from __future__ import annotations
 
@@ -32,12 +31,12 @@ from .pqtree import InternalStructureError, StrongTree, _assemble, _strong_bound
 
 
 class ConservedNode:
-    """One strong conserved interval (lo..hi), 1-based, with its frontiers
-    (ascending, frontiers[0] = lo, frontiers[-1] = hi).  L_link holds the
-    successive parent frontiers around the node and parent_step the index
-    of that parent step; both stay None at the root.  annotate_conserved
-    sets bstar, the least b making the node b-nested, and tau, per frontier
-    step the least b making that step plain or a good gap."""
+    """One strong conserved interval (lo..hi), 1-based, with its ascending
+    frontiers, lo first and hi last.  L_link holds the parent frontiers
+    around the node and parent_step the index of that parent step; both
+    stay None at the root.  annotate_conserved sets bstar, the least b
+    making the node b-nested, and tau, per frontier step the least b
+    making that step plain or a good gap."""
 
     __slots__ = ("lo", "hi", "size", "frontiers", "children", "L_link", "parent_step",
                  "bstar", "tau")
@@ -84,9 +83,9 @@ class ConservedTree(StrongTree):
 def _doubled_position_matrix(pset: PermutationSet) -> tuple:
     """The `positions` tuple of each permutation other than the
     all-positive identity, and per row a list true where 0-based label i
-    has a + sign.  The name is left from the doubled alphabet (+v as 2v-1,
-    2v and -v swapped), which the oriented sweep no longer needs; it stays
-    because the benchmark's tracer patches this function."""
+    has a + sign.  The name is left from the doubled alphabet, which the
+    oriented sweep no longer needs; it stays because the benchmark's tracer
+    patches this function."""
     identity = tuple(range(1, pset.n + 1))
     keep = [perm for perm in pset.perms if perm.elements != identity or -1 in perm.signs]
     opens = []
@@ -111,9 +110,6 @@ def build_conserved_tree(pset: PermutationSet) -> ConservedTree:
 
     def mem(i, j):  # 0-based, i < j
         return j <= R[i] and L[j] <= i
-
-    # A unit is a node only as the root of n = 1; dict.get answers without a Python call.
-    leaf = {0: ConservedNode(1, 1, (1,))}.get if n == 1 else {}.get
 
     def make(i, j, kids):
         # Frontiers: the ends, plus every element covered by no child whose
@@ -143,7 +139,7 @@ def build_conserved_tree(pset: PermutationSet) -> ConservedTree:
         return node
 
     lo, hi = _strong_bounds(R, L, n)
-    return ConservedTree(_assemble(lo, hi, n, make, leaf), n)
+    return ConservedTree(_assemble(lo, hi, n, make) if n > 1 else [ConservedNode(1, 1, (1,))], n)
 
 
 def irreducible_conserved_intervals(tree: ConservedTree) -> list:

@@ -149,8 +149,8 @@ def evaluate(pset: PermutationSet, b: int, bound: int = MAX_N) -> OracleResult:
     else:
         conserved = set()
     strong_conserved = strong_of(conserved)
-    # Unit common intervals never overlap anything, so the PQ-tree keeps
-    # them as leaves; fold them back in here for that comparison.
+    # Unit common intervals overlap nothing, so they are strong too: the
+    # PQ-tree's leaves, implicit in its nodes' children.
     strong_common = strong_of(common) | {iv for iv in common if iv.size() == 1}
     return OracleResult(
         common=frozenset(common),

@@ -5,8 +5,9 @@ P root over three Q children, and a two-permutation signed framed set whose
 inclusion tree is a root with two children.  Expected families and counts
 were frozen from the brute-force oracle.  The seeded 500-instance corpora
 of the acceptance gate, the planted-nested instances of its scaling
-criterion, and reference helpers that list weak intervals and per-pair
-verdicts straight from a tree, live here too.
+criterion, and reference helpers that expand a PQ-tree node into its
+children, leaves included, and list weak intervals and per-pair verdicts
+straight from a tree, live here too.
 """
 from __future__ import annotations
 
@@ -202,6 +203,26 @@ def conserved_corpus() -> list:
     return out
 
 
+def child_intervals(node) -> list:
+    """A PQ-tree node's children in order, as intervals, leaves included.
+
+    A tree stores internal nodes only; a leaf child is a label that none of
+    the node's stored children covers.  A stored leaf (the root of n = 1)
+    has no children.  Stored children out of order, overlapping or reaching
+    outside the node come out as they are, so a partition check on the
+    result still sees them.
+    """
+    out = []
+    pos = node.lo
+    for c in node.children:
+        out.extend(core.Interval(v, v) for v in range(pos, c.lo))
+        out.append(core.Interval(c.lo, c.hi))
+        pos = c.hi + 1
+    if node.lo < node.hi:
+        out.extend(core.Interval(v, v) for v in range(pos, node.hi + 1))
+    return out
+
+
 def weak_intervals_of_qnode(node, include_full: bool = False) -> list:
     """Unions of >= 2 consecutive children of a Q-node, sorted by (lo, hi).
 
@@ -210,14 +231,14 @@ def weak_intervals_of_qnode(node, include_full: bool = False) -> list:
     """
     if node.kind != "Q":
         raise ValueError(f"not a Q-node: {node.kind} {node.interval}")
-    kids = node.children
+    kids = child_intervals(node)
     m = len(kids)
     out = []
     for a in range(m):
         for b in range(a + 1, m):
             if not include_full and a == 0 and b == m - 1:
                 continue
-            out.append(core.Interval(kids[a].interval.lo, kids[b].interval.hi))
+            out.append(core.Interval(kids[a].lo, kids[b].hi))
     out.sort()
     return out
 

@@ -30,6 +30,7 @@ from bnest.pqtree import build_pqtree
 from conftest import (
     GOLD_COMMON_RAW,
     GOLD_CONSERVED_RAW,
+    child_intervals,
     ivset,
     planted_raw,
     random_framed_raw,
@@ -142,21 +143,23 @@ def test_criterion_5_pqtree_completeness_laminarity(capsys, common_corpus):
         regenerated = set()
         for nd in tree.nodes:
             regenerated.add(nd.interval)
-            kids = nd.children
-            # children partition the node interval: laminar by construction,
-            # so any violation shows up as a gap or overlap here
+            # children, leaves included, partition the node interval: laminar
+            # by construction, so any violation shows up as an overlap or
+            # overreach here; a stored child must be internal
+            kids = child_intervals(nd)
+            regenerated.update(kids)
             pos = nd.interval.lo
             for c in kids:
-                if c.interval.lo != pos:
+                if c.lo != pos:
                     violations += 1
-                pos = c.interval.hi + 1
+                pos = c.hi + 1
             if kids and pos != nd.interval.hi + 1:
                 violations += 1
+            violations += sum(c.size < 2 for c in nd.children)
             if nd.kind == "Q":
                 for a in range(len(kids)):
                     for d in range(a + 1, len(kids)):
-                        regenerated.add(core.Interval(
-                            kids[a].interval.lo, kids[d].interval.hi))
+                        regenerated.add(core.Interval(kids[a].lo, kids[d].hi))
         if regenerated != fam:
             violations += 1
     _report(capsys, 5, "PQ-tree regenerates the family", violations == 0,

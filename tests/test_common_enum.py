@@ -16,7 +16,7 @@ from bnest.common_enum import (
     qnode_count_parts,
 )
 from bnest.pqtree import build_pqtree
-from conftest import ivset, planted_raw, random_unsigned_raw
+from conftest import child_intervals, ivset, planted_raw, random_unsigned_raw, weak_intervals_of_qnode
 
 # Post-order over nodes, lexicographic (start, end) within a Q scan.
 GOLD_ORDER_B1_MIN2 = [
@@ -51,10 +51,10 @@ def test_annotate_verdicts(gold_tree):
     assert gold_tree.root.bstar > 1  # needs a size >= 8 member inside
     assert gold_tree.root.bstar <= 5
     for nd in gold_tree.nodes:
-        if nd.is_leaf:
-            assert nd.bstar <= 1
+        assert nd.size >= 2  # leaves are not stored: each has bstar 1
         if nd.size <= 2:  # size <= b+1 is always nested
             assert nd.bstar <= 1
+    assert ivset((v, v) for v in range(1, 10)) <= set(enumerate_b_nested_common(gold_tree, 1, 1))
 
 
 def test_annotate_rejects_bad_b(gold_tree):
@@ -81,9 +81,9 @@ def test_qnode_count_parts_pattern():
     p2 = [v for blk in blocks for v in reversed(blk)]
     pset = core.normalize([list(range(1, 13)), p2])
     tree = build_pqtree(pset)
-    assert tree.root.kind == "Q" and len(tree.root.children) == 9
+    assert tree.root.kind == "Q" and len(child_intervals(tree.root)) == 9
     annotate(tree)
-    assert [c.size > 1 for c in tree.root.children] == [
+    assert [c.size() > 1 for c in child_intervals(tree.root)] == [
         False, False, False, True, False, False, True, False, True]
     large_terms, run_terms = qnode_count_parts(tree.root, 1)
     assert large_terms == [11, 5, 1]
@@ -184,8 +184,9 @@ def test_scan_work_is_steps_plus_scan_output(common_corpus, b, min_size):
         tree = build_pqtree(pset)
         stats = ScanStats(iterations=7)  # the scans add to a running count
         got = list(enumerate_b_nested_common(tree, b, min_size, stats=stats))
-        steps = sum(len(nd.children) for nd in tree.nodes if nd.kind == "Q")
+        steps = sum(len(child_intervals(nd)) for nd in tree.nodes if nd.kind == "Q")
         unscanned = {(nd.lo, nd.hi) for nd in tree.nodes if nd.kind != "Q"}
+        unscanned.update(iv for nd in tree.nodes for iv in child_intervals(nd) if iv.size() == 1)
         assert stats.iterations == 7 + steps + sum(iv not in unscanned for iv in got)
 
 
@@ -210,9 +211,37 @@ def test_outputs_are_plain_pairs(b, min_size):
         got = list(enumerate_b_nested_common(tree, b, min_size))
         assert all(type(x) is tuple and len(x) == 2 for x in got)
         got = set(got)
-        seen.update(nd.kind for nd in tree.nodes if nd.interval in got)
+        kinds = {nd.interval: nd.kind for nd in tree.nodes}
+        kinds.update((iv, "LEAF") for nd in tree.nodes for iv in child_intervals(nd) if iv.size() == 1)
+        seen.update(kind for iv, kind in kinds.items() if iv in got)
     assert ("LEAF" in seen) == (min_size == 1) and "Q" in seen
     assert "P" in seen or b == 1  # a P-node has >= 3 children, so needs b >= 2
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_min_size_1_order_is_post_order_of_the_expanded_tree(common_corpus, b):
+    """At min_size 1 the output follows a post-order walk of the tree with
+    its leaves: each leaf's singleton, a P-node's interval when b-nested,
+    and a Q-node's b-nested child runs in (start child, end child) order,
+    every node after all of its children."""
+    for pset in common_corpus:
+        tree = build_pqtree(pset)
+        nested = oracle.all_b_nested(oracle.all_common(pset), b)
+        want = []
+        stack = [(tree.root, False)]
+        while stack:
+            node, visited = stack.pop()
+            if isinstance(node, core.Interval):  # a leaf
+                want.append(node)
+            elif not visited:
+                stack.append((node, True))
+                by_lo = {c.lo: c for c in node.children}
+                stack.extend((by_lo.get(iv.lo, iv), False) for iv in reversed(child_intervals(node)))
+            elif node.kind == "Q":
+                want.extend(iv for iv in weak_intervals_of_qnode(node, include_full=True) if iv in nested)
+            elif node.interval in nested:  # a P-node, or the stored leaf of n = 1
+                want.append(node.interval)
+        assert list(enumerate_b_nested_common(tree, b, 1)) == want, (pset.perms, b)
 
 
 def _reversed_blocks_raw(rng: random.Random, n: int) -> list:

@@ -91,7 +91,7 @@ def test_planted_raw_plants_nested_levels():
         stack = [(tree.root, 1)]
         while stack:
             node, d = stack.pop()
-            if not node.is_leaf:
-                best = max(best, d)
-                stack.extend((c, d + 1) for c in node.children)
+            assert node.size >= 2  # the tree stores internal nodes only
+            best = max(best, d)
+            stack.extend((c, d + 1) for c in node.children)
         assert best >= 3, (n, seed)

@@ -2,17 +2,17 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
 import bnest
-from bnest import conserved_tree, core, oracle
+from bnest import conserved_tree, core, oracle, pqtree
 from bnest._kernels import canonical_generator, canonicalize, exact_bounds, mirror, position_matrix
 from bnest.common_enum import count_b_nested_common
 from bnest.conserved_tree import _conserved_generator
 from bnest.pqtree import (
     InternalStructureError,
-    PQNode,
     PQTree,
     _assemble,
     _strong_bounds,
@@ -20,8 +20,10 @@ from bnest.pqtree import (
 )
 from conftest import (
     canonical_bounds,
+    child_intervals,
     generator_family,
     ivset,
+    planted_raw,
     random_framed_raw,
     random_unsigned_raw,
     singletons,
@@ -61,23 +63,30 @@ def test_golden_tree_shape(gold_common_pset):
     assert [c.kind for c in root.children] == ["Q", "Q", "Q"]
 
 
+def _expanded(tree) -> set:
+    """Every interval of the tree, leaves included."""
+    return {iv for nd in tree.nodes for iv in (nd.interval, *child_intervals(nd))}
+
+
 def test_golden_strong_set(gold_common_pset):
-    assert {nd.interval for nd in build_pqtree(gold_common_pset).nodes} == (
-        ivset({(2, 3), (1, 4), (5, 6), (7, 9), (1, 9)}) | singletons(9))
+    tree = build_pqtree(gold_common_pset)
+    strong = ivset({(2, 3), (1, 4), (5, 6), (7, 9), (1, 9)})
+    assert {nd.interval for nd in tree.nodes} == strong
+    assert _expanded(tree) == strong | singletons(9)
 
 
 def test_two_permutation_strong_set():
-    pset = core.normalize([[1, 2, 3], [3, 1, 2]])
-    assert {nd.interval for nd in build_pqtree(pset).nodes} == (
-        ivset({(1, 2), (1, 3)}) | singletons(3))
+    tree = build_pqtree(core.normalize([[1, 2, 3], [3, 1, 2]]))
+    assert {nd.interval for nd in tree.nodes} == ivset({(1, 2), (1, 3)})
+    assert _expanded(tree) == ivset({(1, 2), (1, 3)}) | singletons(3)
 
 
 def test_identity_tree_is_single_q():
     for n in (2, 3, 7):
         tree = build_pqtree(core.normalize([list(range(1, n + 1))]))
-        assert tree.root.kind == "Q"
-        assert all(c.is_leaf for c in tree.root.children)
-        assert len(tree.root.children) == n
+        assert tree.root.kind == "Q" and tree.nodes == [tree.root]
+        assert child_intervals(tree.root) == sorted(singletons(n))
+        assert tree.root.ends == list(range(n + 1))
         assert count_b_nested_common(tree, n, 1) == n * (n + 1) // 2
 
 
@@ -85,13 +94,41 @@ def test_reversal_tree_is_single_q():
     n = 6
     tree = build_pqtree(core.normalize(
         [list(range(1, n + 1)), list(range(n, 0, -1))]))
-    assert tree.root.kind == "Q" and len(tree.root.children) == n
+    assert tree.root.kind == "Q" and len(child_intervals(tree.root)) == n
 
 
 def test_single_element_tree():
     tree = build_pqtree(core.normalize([[1]]))
-    assert tree.root.is_leaf and tree.root.interval == core.Interval(1, 1)
+    assert tree.nodes == [tree.root] and tree.root.kind == "LEAF"
+    assert tree.root.interval == core.Interval(1, 1) and child_intervals(tree.root) == []
     assert count_b_nested_common(tree, 1, 1) == 1
+
+
+def test_planted_1e5_tree_keeps_only_its_strong_intervals(monkeypatch):
+    """No object per leaf at n = 1e5: the nodes are exactly the strong
+    intervals of size >= 2, read off the canonical generator, and the tree
+    holds at most 2 MiB.  tracemalloc starts as assembly begins, so it sees
+    what the nodes allocate and none of the earlier layers' inputs."""
+    n = 10**5
+    pset = core.normalize(planted_raw(n, 4, 6, 8, random.Random(10_000 + n)))
+    assemble = pqtree._assemble
+
+    def traced(*args):
+        tracemalloc.start()
+        return assemble(*args)
+
+    monkeypatch.setattr(pqtree, "_assemble", traced)
+    try:
+        tree = build_pqtree(pset)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 * 2**20, held
+    R, L = canonical_generator(position_matrix(pset.perms), n)
+    wide = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, R[i] + 1) if L[j] <= i]
+    strong = [(lo, hi) for lo, hi in wide
+              if not any(a < lo <= b < hi or lo < a <= hi < b for a, b in wide)]
+    assert sorted((nd.lo, nd.hi) for nd in tree.nodes) == sorted(strong)
 
 
 def test_is_common_matches_oracle(gold_common_pset):
@@ -115,41 +152,52 @@ def test_weak_intervals_of_qnode_contract(gold_common_pset):
 
 def _assert_tree_invariants(pset, tree: PQTree, fam: set):
     nodes = list(_walk(tree.root))
-    ivs = [nd.interval for nd in nodes]
+    # the stored nodes are the internal ones, each reached once from the root
+    assert sorted(map(id, nodes)) == sorted(map(id, tree.nodes))
+    assert all(nd.size >= 2 and nd.kind in ("P", "Q") for nd in nodes) or tree.n == 1
+    leaves = [iv for nd in nodes for iv in child_intervals(nd) if iv.size() == 1]
+    ivs = [nd.interval for nd in nodes] + leaves
     # inclusion tree of exactly the strong intervals, each once
     assert len(set(ivs)) == len(ivs) <= 2 * tree.n - 1
     assert set(ivs) == oracle.strong_of(fam) | {iv for iv in fam if iv.size() == 1}
     # laminarity and child partition
     for nd in nodes:
-        if nd.is_leaf:
+        if nd.kind == "LEAF":
             assert nd.interval.size() == 1 and not nd.children
             continue
-        assert len(nd.children) >= 2
+        kids = child_intervals(nd)
+        assert len(kids) >= 2
         pos = nd.interval.lo
-        for c in nd.children:
-            assert c.interval.lo == pos
-            pos = c.interval.hi + 1
+        for c in kids:
+            assert c.lo == pos
+            pos = c.hi + 1
         assert pos == nd.interval.hi + 1
+        # a Q-node's stored step ends, and its internal children's step indices
+        if nd.kind == "Q":
+            assert nd.ends == [nd.lo - 1] + [c.hi for c in kids]
+            assert all(kids[c.parent_step] == c.interval for c in nd.children)
+        else:
+            assert nd.ends is None
     # every family member is a node or a run of successive Q children,
     # and everything either form generates is a family member
     regenerated = set(ivs)
     for nd in nodes:
         if nd.kind != "Q":
             continue
-        kids = nd.children
+        kids = child_intervals(nd)
         for a in range(len(kids)):
             for d in range(a + 1, len(kids)):
-                regenerated.add(core.Interval(kids[a].interval.lo, kids[d].interval.hi))
+                regenerated.add(core.Interval(kids[a].lo, kids[d].hi))
     assert regenerated == fam
     assert count_b_nested_common(tree, tree.n, 1) == len(fam)
     # P label minimality: no proper run of >= 2 successive children is common
     for nd in nodes:
-        kids = nd.children
+        kids = child_intervals(nd)
         for a in range(len(kids)):
             for d in range(a + 1, len(kids)):
                 if d - a + 1 == len(kids):
                     continue
-                run = core.Interval(kids[a].interval.lo, kids[d].interval.hi)
+                run = core.Interval(kids[a].lo, kids[d].hi)
                 assert (run in fam) == (nd.kind == "Q")
 
 
@@ -188,11 +236,8 @@ def test_assemble_rejects_pairs_that_never_close():
     def make(i, j, kids):
         raise AssertionError("no pair (i, j) with i < j is strong here")
 
-    def leaf(j):
-        return PQNode(j + 1, j + 1, "LEAF")
-
     with pytest.raises(InternalStructureError):
-        _assemble([0, 1, 2], [0, 1, 2], 3, make, leaf)
+        _assemble([0, 1, 2], [0, 1, 2], 3, make)
     assert bnest.InternalStructureError is InternalStructureError
     assert conserved_tree.InternalStructureError is InternalStructureError
 
@@ -226,8 +271,9 @@ def test_mirror_is_an_involution():
 
 
 def test_strong_bounds_match_their_definition():
-    """lo and hi (the mirror image of the lo sweep) against the formulas of
-    the pqtree docstring, on canonical generators of both families."""
+    """lo (an upward sweep over R) and hi (a downward sweep over L) against
+    the formulas of the pqtree docstring, on canonical generators of both
+    families."""
     rng = random.Random(505)
     for t in range(80):
         n = rng.randint(2, 40)
