@@ -58,18 +58,20 @@ def _sup(row, side, bound: list) -> None:
     low = [0] * (n + 2)
     for i in range(n - 1, -1, -1):
         p = row[i]
-        a = b = p
-        ml = mr = n
-        if other[p - 1]:
-            a = other[p - 1]
+        a = other[p - 1]
+        if a:
             m = ml = low[p - 1]
             nxt[prv[m]] = nxt[m]
             prv[nxt[m]] = prv[m]
-        if other[p + 1]:
-            b = other[p + 1]
+        else:
+            a, ml = p, n
+        b = other[p + 1]
+        if b:
             m = mr = low[p + 1]
             nxt[prv[m]] = nxt[m]
             prv[nxt[m]] = prv[m]
+        else:
+            b, mr = p, n
         other[a] = b
         other[b] = a
         low[a] = low[b] = i

@@ -108,24 +108,22 @@ def build_conserved_tree(pset: PermutationSet) -> ConservedTree:
     n = pset.n
     R, L = _conserved_generator(pset)
 
-    def mem(i, j):  # 0-based, i < j
-        return j <= R[i] and L[j] <= i
-
     def make(i, j, kids):
         # Frontiers: the ends, plus every element covered by no child whose
-        # two sides are both conserved.  Interior frontiers are never inside
+        # two sides are both conserved; as (i..j) is, (i..f) and (f..j) are
+        # iff L[f] <= i and R[f] >= j.  Interior frontiers are never inside
         # a child (the side intervals would overlap that strong child), so
         # each child lies in the step opened by the last frontier before it.
         fr = [i]
         cur = i + 1
         for c in kids:
             for f in range(cur, c.lo - 1):
-                if mem(i, f) and mem(f, j):
+                if L[f] <= i and R[f] >= j:
                     fr.append(f)
             c.parent_step = len(fr) - 1
             cur = c.hi
         for f in range(cur, j):
-            if mem(i, f) and mem(f, j):
+            if L[f] <= i and R[f] >= j:
                 fr.append(f)
         fr.append(j)
         node = ConservedNode(i + 1, j + 1, tuple(x + 1 for x in fr), kids)

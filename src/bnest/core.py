@@ -124,10 +124,6 @@ class Permutation(_Fields):
 
     elements, positions = map(property, map(itemgetter, range(2)))
 
-    @staticmethod
-    def from_elements(elements: list) -> "Permutation":
-        return Permutation(tuple(elements), _inverse(elements))
-
     @property
     def n(self) -> int:
         return len(self.elements)
@@ -143,10 +139,6 @@ class SignedPermutation(_Fields):
         return tuple.__new__(cls, (elements, signs, positions))
 
     elements, signs, positions = map(property, map(itemgetter, range(3)))
-
-    @staticmethod
-    def from_elements(elements: list, signs: list) -> "SignedPermutation":
-        return SignedPermutation(tuple(elements), tuple(signs), _inverse(elements))
 
     @property
     def n(self) -> int:
@@ -207,26 +199,37 @@ def normalize(raw: list, signed: "bool | None" = None) -> PermutationSet:
 
     `raw` holds K equal-length sequences of nonzero integers; a negative entry
     means a negative sign on the label abs(entry).  With signed=None the set
-    is treated as signed exactly when some entry is negative.
+    is treated as signed exactly when some entry is negative.  Validation
+    errors come from `_check_raw` unchanged, called when a relabel check fails.
     """
-    n = _check_raw(raw)
-    if signed is None:
-        signed = min(map(min, raw)) < 0  # _check_raw: no row is empty
-
-    first = list(map(abs, raw[0]))
-    relabeling = dict(zip(first, range(1, n + 1)))
-    if signed:
-        sign_in_first = {abs(x): -1 if x < 0 else 1 for x in raw[0]}
-
-    perms = []
-    for seq in raw:
-        elems = list(map(relabeling.__getitem__, map(abs, seq)))
+    try:
+        first = list(map(abs, raw[0]))
+        n = len(first)
+        relabeling = dict(zip(first, range(1, n + 1)))
+        if not n or len(relabeling) != n or 0 in relabeling or set(map(len, raw)) != {n}:
+            raise KeyError
+        if signed is None:
+            signed = min(map(min, raw)) < 0
+        identity = tuple(range(1, n + 1))
         if signed:
-            signs = [(-1 if x < 0 else 1) * sign_in_first[abs(x)] for x in seq]
-            perms.append(SignedPermutation.from_elements(elems, signs))
+            sign_in_first = {abs(x): -1 if x < 0 else 1 for x in raw[0]}
+            perms = [SignedPermutation(identity, (1,) * n, (0, *identity))]
         else:
-            perms.append(Permutation.from_elements(elems))
-
+            perms = [Permutation(identity, (0, *identity))]
+        for seq in raw[1:]:
+            elems = list(map(relabeling.__getitem__, map(abs, seq)))  # KeyError: a foreign label
+            pos = _inverse(elems)
+            if pos.count(0) != 1:  # a duplicate left some label without a position
+                raise KeyError
+            if signed:
+                signs = [(-1 if x < 0 else 1) * sign_in_first[abs(x)] for x in seq]
+                perms.append(SignedPermutation(tuple(elems), tuple(signs), pos))
+            else:
+                perms.append(Permutation(tuple(elems), pos))
+    except (IndexError, KeyError):
+        perms = None
+    if perms is None:
+        _check_raw(raw)  # raises: the checks above fail only on invalid input
     return PermutationSet(
         perms=tuple(perms),
         n=n,
@@ -329,7 +332,7 @@ def parse_permutations(text: str) -> list:
         if not body:
             continue
         try:
-            row = [int(tok) for tok in body.split()]
+            row = list(map(int, body.split()))
         except ValueError as exc:
             raise PermutationError("line %d: %s" % (lineno, exc)) from None
         raw.append(row)

@@ -22,10 +22,10 @@ endpoint into i >= lo[j] and j <= hi[i], with
   hi[i] = min(R[i], min{j' >= i : L[j'] < i})
 
 since an overlap witness on the right is an i' in (i..j] whose arc leaves j
-behind, and symmetrically on the left; each is one stack sweep.  A sweep
-over right ends j with a top-down list of live left ends meets the strong
-pairs in post-order, so this tree and the conserved one assemble with one
-stack and no recursion.
+behind, and symmetrically on the left; one upward sweep over j keeps a
+stack for each.  A sweep over right ends j with a top-down list of live
+left ends meets the strong pairs in post-order, so this tree and the
+conserved one assemble with one stack and no recursion.
 """
 from __future__ import annotations
 
@@ -129,25 +129,23 @@ class PQTree(StrongTree):
 
 
 def _strong_bounds(R: list, L: list, n: int):
-    """Per-endpoint strongness bounds lo[j], hi[i], both 0-based arrays."""
+    """Strongness bounds lo[j] and hi[i], 0-based, from one upward sweep."""
     lo = L[:]
-    stack = []
+    hi = R[:]
+    arcs, unsettled = [], []  # left ends i <= j: arcs with R[i] > j; arcs whose hi may still fall
     for j in range(n):
         if R[j] > j:
-            stack.append(j)
-        while stack and R[stack[-1]] <= j:
-            stack.pop()
-        if stack and stack[-1] > lo[j]:
-            lo[j] = stack[-1]
-    hi = R[:]
-    stack = []
-    for i in range(n - 1, -1, -1):
-        if L[i] < i:
-            stack.append(i)
-        while stack and L[stack[-1]] >= i:
-            stack.pop()
-        if stack and stack[-1] < hi[i]:
-            hi[i] = stack[-1]
+            arcs.append(j)
+            unsettled.append(j)
+        while arcs and R[arcs[-1]] <= j:
+            arcs.pop()
+        if arcs and arcs[-1] > lo[j]:
+            lo[j] = arcs[-1]
+        lj = L[j]
+        while unsettled and unsettled[-1] > lj:  # j is the first j' >= i with L[j'] < i
+            i = unsettled.pop()
+            if j < hi[i]:
+                hi[i] = j
     return lo, hi
 
 

@@ -5,9 +5,9 @@ P root over three Q children, and a two-permutation signed framed set whose
 inclusion tree is a root with two children.  Expected families and counts
 were frozen from the brute-force oracle.  The seeded 500-instance corpora
 of the acceptance gate, the planted-nested instances of its scaling
-criterion, and reference helpers that expand a PQ-tree node into its
-children, leaves included, and list weak intervals and per-pair verdicts
-straight from a tree, live here too.
+criterion, deep nested chains, and reference helpers that expand a PQ-tree
+node into its children, leaves included, and list weak intervals and
+per-pair verdicts straight from a tree, live here too.
 """
 from __future__ import annotations
 
@@ -176,6 +176,24 @@ def signed_inversions_raw(rng: random.Random, n: int, K: int, count: int) -> lis
             row[a:a + length] = [-v for v in reversed(row[a:a + length])]
         raw.append(row)
     return raw
+
+
+def chain_raw(mode: str, depth: int) -> list:
+    """Identity plus a second permutation whose strong intervals form one
+    chain of `depth` nested nodes.
+
+    common: even labels appended and odd ones prepended, so the nodes are
+    (1..k) for k = 2..n.  conserved: layer k of positions {k, n+1-k} holds
+    +k ... +(n+1-k) for odd k and -(n+1-k) ... -k for even k, so the nodes
+    are (k..n+1-k).
+    """
+    if mode == "common":
+        n = depth + 1
+        second = [v for v in range(n, 0, -1) if v % 2] + [v for v in range(2, n + 1, 2)]
+    else:
+        n = 2 * depth + 1
+        second = [p if min(p, n + 1 - p) % 2 else -(n + 1 - p) for p in range(1, n + 1)]
+    return [list(range(1, n + 1)), second]
 
 
 COMMON_CORPUS_SEED = 0xC0FFEE

@@ -22,7 +22,7 @@ from bnest.common_enum import enumerate_b_nested_common
 from bnest.conserved_enum import enumerate_b_nested_conserved
 from bnest.conserved_tree import build_conserved_tree
 from bnest.pqtree import build_pqtree
-from conftest import GOLD_COMMON_RAW, GOLD_CONSERVED_RAW, random_framed_raw, random_unsigned_raw
+from conftest import GOLD_COMMON_RAW, GOLD_CONSERVED_RAW, chain_raw, random_framed_raw, random_unsigned_raw
 
 
 def _write(tmp_path, name, raw):
@@ -118,28 +118,10 @@ def test_tree_text_and_json(capsys, gold_conserved_file):
     assert obj["lo"] == 1 and obj["hi"] == 9 and len(obj["children"]) == 2
 
 
-def _chain_raw(mode: str, depth: int) -> list:
-    """Identity plus a second permutation whose strong intervals form one
-    chain of `depth` nested nodes.
-
-    common: even labels appended and odd ones prepended, so the nodes are
-    (1..k) for k = 2..n.  conserved: layer k of positions {k, n+1-k} holds
-    +k ... +(n+1-k) for odd k and -(n+1-k) ... -k for even k, so the nodes
-    are (k..n+1-k).
-    """
-    if mode == "common":
-        n = depth + 1
-        second = [v for v in range(n, 0, -1) if v % 2] + [v for v in range(2, n + 1, 2)]
-    else:
-        n = 2 * depth + 1
-        second = [p if min(p, n + 1 - p) % 2 else -(n + 1 - p) for p in range(1, n + 1)]
-    return [list(range(1, n + 1)), second]
-
-
 @pytest.mark.parametrize("mode", ["common", "conserved"])
 def test_tree_json_deep_chain(capsys, tmp_path, mode):
     depth = 10_001
-    path = _write(tmp_path, "chain.txt", _chain_raw(mode, depth))
+    path = _write(tmp_path, "chain.txt", chain_raw(mode, depth))
     code, out = _run(capsys, ["tree", "--json", "--mode", mode, path])
     assert code == 0
     # every node is one JSON object; leaves add a level below the common chain

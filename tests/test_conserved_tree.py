@@ -14,6 +14,7 @@ from bnest.conserved_tree import (
     build_conserved_tree,
     irreducible_conserved_intervals,
 )
+from oracle_views import evaluate
 from conftest import (
     canonical_bounds,
     generator_family,
@@ -148,7 +149,7 @@ def test_random_instances_match_oracle():
         n = rng.randint(2, 10)
         pset = core.normalize(random_framed_raw(rng, n, rng.randint(1, 4)), signed=True)
         tree = build_conserved_tree(pset)
-        res = oracle.evaluate(pset, 1)
+        res = evaluate(pset, 1)
         _assert_tree_invariants(tree, set(res.conserved), res)
 
 

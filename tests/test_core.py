@@ -80,9 +80,9 @@ def test_value_types_compare_by_value_and_refuse_assignment():
                     setattr(obj, name, getattr(obj, name, None))
     assert core.normalize(GOLD_COMMON_RAW) != core.normalize(GOLD_COMMON_RAW, signed=True)
     perm = core.Permutation(elements=(2, 3, 1), positions=(0, 3, 1, 2))
-    assert perm == core.Permutation.from_elements([2, 3, 1]) and perm.n == 3
+    assert perm == core.normalize([[1, 2, 3], [2, 3, 1]]).perms[1] and perm.n == 3
     sperm = core.SignedPermutation(elements=(2, 1), signs=(-1, 1), positions=(0, 2, 1))
-    assert sperm == core.SignedPermutation.from_elements([2, 1], [-1, 1])
+    assert sperm == core.normalize([[1, 2], [-2, 1]]).perms[1]
     assert sperm.signed_elements() == (-2, 1) and sperm != perm
 
 
@@ -158,6 +158,88 @@ def test_normalize_names_the_first_bad_label(raw, error, message):
     with pytest.raises(error) as info:
         core.normalize(raw)
     assert type(info.value) is error and str(info.value) == message
+
+
+def _normalize_checking_first(raw, signed=None):
+    """normalize with `_check_raw` run before the relabel pass, as it once
+    was: the reference for which error an invalid input gets."""
+    n = core._check_raw(raw)
+    if signed is None:
+        signed = min(map(min, raw)) < 0
+    first = [abs(x) for x in raw[0]]
+    relabeling = dict(zip(first, range(1, n + 1)))
+    sign_in_first = {abs(x): -1 if x < 0 else 1 for x in raw[0]}
+    perms = []
+    for seq in raw:
+        elems = tuple(relabeling[abs(x)] for x in seq)
+        pos = [0] * (n + 1)
+        for p, v in enumerate(elems, start=1):
+            pos[v] = p
+        if signed:
+            signs = tuple((-1 if x < 0 else 1) * sign_in_first[abs(x)] for x in seq)
+            perms.append(core.SignedPermutation(elems, signs, tuple(pos)))
+        else:
+            perms.append(core.Permutation(elems, tuple(pos)))
+    return core.PermutationSet(tuple(perms), n, len(perms), signed, relabeling, (0, *first))
+
+
+def _random_raw(rng: random.Random) -> list:
+    """A small valid input, then none, one or two faults: a row too short
+    or too long, a 0, a duplicate in row 0 or in a later row, a foreign
+    label, no rows or an empty row.  Labels may be any set, 10**12 too."""
+    n = rng.randint(1, 7)
+    labels = rng.sample(range(1, 12), n) if rng.random() < 0.5 else list(range(1, n + 1))
+    if rng.random() < 0.15:
+        labels[rng.randrange(n)] = 10**12
+    raw = []
+    for _ in range(rng.randint(1, 4)):
+        row = rng.sample(labels, n)
+        raw.append([x if rng.random() < 0.6 else -x for x in row] if rng.random() < 0.5 else row)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        if not raw:
+            break
+        fault = rng.choice(("short", "long", "zero", "dup0", "dupk", "foreign", "empty"))
+        row = raw[{"dup0": 0, "dupk": -1}.get(fault, rng.randrange(len(raw)))]
+        if fault == "short" and row:
+            row.pop(rng.randrange(len(row)))
+        elif fault == "long":
+            row.insert(rng.randint(0, len(row)), rng.choice(row or [1]))
+        elif fault == "zero" and row:
+            row[rng.randrange(len(row))] = 0
+        elif fault in ("dup0", "dupk") and len(row) > 1:
+            row[rng.randrange(len(row))] = rng.choice(row) * rng.choice((1, -1))
+        elif fault == "foreign" and row:
+            row[rng.randrange(len(row))] = rng.choice((12, -12, 10**12, -10**12))
+        elif fault == "empty":
+            if rng.random() < 0.3:
+                raw.clear()
+            else:
+                row.clear()
+    return raw
+
+
+def test_normalize_matches_checking_first():
+    """normalize checks inside its relabel pass; on 4,000 seeded inputs,
+    valid or not, it gives the same PermutationSet, or the same error class
+    and message, as the reference that runs `_check_raw` first."""
+    def outcome(f, raw, signed):
+        try:
+            return f([row[:] for row in raw], signed)
+        except core.PermutationError as exc:
+            return type(exc), str(exc)
+
+    rng = random.Random(2026)
+    seen = {}
+    for _ in range(4000):
+        raw, signed = _random_raw(rng), rng.choice((None, True, False))
+        want = outcome(_normalize_checking_first, raw, signed)
+        got = outcome(core.normalize, raw, signed)
+        assert type(got) is type(want) and got == want, (raw, signed)
+        kind = want[0].__name__ if type(want) is tuple else "valid"
+        seen[kind] = seen.get(kind, 0) + 1
+    assert set(seen) == {"valid", "PermutationError", "LengthMismatch", "NotAPermutation",
+                         "DuplicateElement"}
+    assert min(seen.values()) >= 200, seen
 
 
 def test_is_common_interval_golden():

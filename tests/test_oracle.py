@@ -12,6 +12,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from bnest import core, oracle
+from oracle_views import OracleResult, evaluate, frontier_set_of
 from conftest import (
     GOLD_COMMON_RAW,
     GOLD_COMMON_WIDE,
@@ -117,9 +118,9 @@ def test_strong_of_never_reports_singletons():
 
 def test_frontier_set_golden(gold_conserved_pset):
     fam = oracle.all_conserved(gold_conserved_pset)
-    assert oracle.frontier_set_of(fam, core.Interval(1, 9)) == [1, 4, 5, 9]
-    assert oracle.frontier_set_of(fam, core.Interval(2, 3)) == [2, 3]
-    assert oracle.frontier_set_of(fam, core.Interval(6, 8)) == [6, 7, 8]
+    assert frontier_set_of(fam, core.Interval(1, 9)) == [1, 4, 5, 9]
+    assert frontier_set_of(fam, core.Interval(2, 3)) == [2, 3]
+    assert frontier_set_of(fam, core.Interval(6, 8)) == [6, 7, 8]
 
 
 def test_frontier_set_is_maximal():
@@ -130,7 +131,7 @@ def test_frontier_set_is_maximal():
         pset = core.normalize(random_framed_raw(rng, n, rng.randint(1, 3)), signed=True)
         fam = oracle.all_conserved(pset)
         for iv in oracle.strong_of(fam):
-            fs = oracle.frontier_set_of(fam, iv)
+            fs = frontier_set_of(fam, iv)
             assert fs[0] == iv.lo and fs[-1] == iv.hi
             # every pair of frontiers spans a conserved interval
             for a in fs:
@@ -145,11 +146,11 @@ def test_frontier_set_is_maximal():
 
 
 def test_evaluate_bundles_every_view(gold_conserved_pset):
-    res = oracle.evaluate(gold_conserved_pset, 2)
-    assert oracle.evaluate(gold_conserved_pset, 2) == res
+    res = evaluate(gold_conserved_pset, 2)
+    assert evaluate(gold_conserved_pset, 2) == res
     views = ("common", "conserved", "b_nested_common", "b_nested_conserved",
              "strong_common", "strong_conserved", "frontier_sets")
-    assert oracle.OracleResult(**{v: getattr(res, v) for v in views}) == res
+    assert OracleResult(**{v: getattr(res, v) for v in views}) == res
     for name in views + ("extra",):
         with pytest.raises(AttributeError):
             setattr(res, name, frozenset())

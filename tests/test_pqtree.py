@@ -20,6 +20,7 @@ from bnest.pqtree import (
 )
 from conftest import (
     canonical_bounds,
+    chain_raw,
     child_intervals,
     generator_family,
     ivset,
@@ -271,17 +272,30 @@ def test_mirror_is_an_involution():
 
 
 def test_strong_bounds_match_their_definition():
-    """lo (an upward sweep over R) and hi (a downward sweep over L) against
-    the formulas of the pqtree docstring, on canonical generators of both
-    families."""
+    """lo and hi, both from one upward sweep over right ends (a stack of
+    open arcs for lo, one of unsettled left ends for hi), against the
+    formulas of the pqtree docstring, on canonical generators of both
+    families: random sets, every set with n = 1 or 2, and deep nested
+    chains."""
     rng = random.Random(505)
+    cases = []
     for t in range(80):
         n = rng.randint(2, 40)
         if t % 2:
-            pset = core.normalize(random_framed_raw(rng, n, rng.randint(2, 4)), signed=True)
+            cases.append(core.normalize(random_framed_raw(rng, n, rng.randint(2, 4)), signed=True))
+        else:
+            cases.append(core.normalize(random_unsigned_raw(rng, n, rng.randint(2, 4))))
+    cases += [core.normalize([[1], [1]]), core.normalize([[1], [1]], signed=True),
+              core.normalize([[1, 2], [1, 2]]), core.normalize([[1, 2], [2, 1]]),
+              core.normalize([[1, 2], [1, 2]], signed=True)]
+    for depth in (1, 2, 3, 150):
+        cases.append(core.normalize(chain_raw("common", depth)))
+        cases.append(core.normalize(chain_raw("conserved", depth), signed=True))
+    for pset in cases:
+        n = pset.n
+        if pset.signed:
             R, L = _conserved_generator(pset)
         else:
-            pset = core.normalize(random_unsigned_raw(rng, n, rng.randint(2, 4)))
             R, L = canonical_generator(position_matrix(pset.perms), n)
         lo = [max([L[j]] + [i for i in range(j + 1) if R[i] > j]) for j in range(n)]
         hi = [min([R[i]] + [j for j in range(i, n) if L[j] < i]) for i in range(n)]

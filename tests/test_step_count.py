@@ -19,7 +19,7 @@ from bnest.conserved_enum import (
 )
 from bnest.conserved_tree import build_conserved_tree
 from bnest.pqtree import build_pqtree
-from test_cli import _chain_raw
+from conftest import chain_raw
 
 FAMILIES = {  # mode -> (normalize's signed flag, build, count, enumerate)
     "common": (None, build_pqtree, count_b_nested_common, enumerate_b_nested_common),
@@ -31,7 +31,7 @@ FAMILIES = {  # mode -> (normalize's signed flag, build, count, enumerate)
 def test_chain_count_equals_enumeration_at_every_b(mode):
     """A chain of 400 nested nodes has a node closing at nearly every b."""
     signed, build, count, enum = FAMILIES[mode]
-    tree = build(core.normalize(_chain_raw(mode, 400), signed=signed))
+    tree = build(core.normalize(chain_raw(mode, 400), signed=signed))
     for min_size in (1, 2):
         for b in range(1, tree.n + 2):
             assert count(tree, b, min_size) == sum(1 for _ in enum(tree, b, min_size)), (b, min_size)
@@ -41,7 +41,7 @@ def test_chain_count_equals_enumeration_at_every_b(mode):
 def test_huge_b_counts_like_b_above_n(mode, common_corpus, conserved_corpus):
     signed, build, count, _ = FAMILIES[mode]
     corpus = common_corpus if mode == "common" else conserved_corpus
-    chain = core.normalize(_chain_raw(mode, 400), signed=signed)
+    chain = core.normalize(chain_raw(mode, 400), signed=signed)
     for tree in map(build, [chain, *corpus]):
         for min_size in (1, 2):
             assert count(tree, 10**18, min_size) == count(tree, tree.n + 1, min_size)
