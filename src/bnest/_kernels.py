@@ -18,24 +18,24 @@ span positions holding only labels of [i..j], which is that block.
 
 Sup comes from one sweep of i downward that switches on position Q[i] and
 merges it with the runs on either side, found through run-endpoint arrays.
-The minimum label of each live run sits in an ascending linked list headed
-by i, so Sup(i) is the next minimum in the list, minus 1.  Each step is
-O(1).  Inf is the mirror image of Sup: Sup of the reversed row (labels
-complemented), reversed and complemented back.
+The live runs' minima form an ascending singly linked list headed by i, and
+Sup(i) is the next live minimum, minus 1.  A merge only flags the absorbed
+minima; each step walks past flagged ones and links i to the first live one,
+so each is passed once after it dies: amortized O(1) per label.  Inf is Sup
+of the reversed row (labels complemented), reversed and complemented back.
 
 Intersection.  Membership is a conjunction over the permutations, so the
 elementwise min R0 of the Sups and max L0 of the Infs are exact bounds:
 (i..j) is common iff j <= R0[i] and L0[j] <= i.  Each sweep lowers the
 running minimum as it goes, so no per-row list is kept.  They need not be
 canonical; one DSU pass makes R so, and a stack sweep of its arcs makes L
-so.  The conserved family uses the same sweep with each label's
-orientation: a label that must open its block shuts out the run on its
-left, so Sup(i) = min(f, m) - 1 with m the minimum label of that run and f
-the next minimum in the list; one that must close it shuts out its right
-run.  Inf sweeps complemented labels, so there the shut-out side flips.
-The whole generator is O(Kn) Python steps on lists, plus the built-in sort
-that orders the DSU pass's kills (Bergeron, Chauve, de Montgolfier &
-Raffinot, SIAM J. Discrete Math. 22(3), 2008).
+so.  The conserved family uses the same sweep with each label's orientation:
+a label that must open its block shuts out the run on its left, so Sup(i) =
+min(f, m) - 1 with m that run's minimum and f the next live minimum; one
+that must close it shuts out its right run.  Inf sweeps complemented labels,
+so there the shut-out side flips.  The whole generator is O(Kn) Python steps
+on lists, plus the built-in sort that orders the DSU pass's kills (Bergeron,
+Chauve, de Montgolfier & Raffinot, SIAM J. Discrete Math. 22(3), 2008).
 """
 from __future__ import annotations
 
@@ -48,37 +48,37 @@ def _sup(row, side, bound: list) -> None:
     position).  With side, a per-label list, label i must end its block on
     one side: the run it merges on its left (side[i] true) or right is shut out."""
     n = len(row)
-    head = n + 1  # list sentinel before the smallest minimum; n follows the last
-    nxt = [n] * (n + 2)
-    prv = [head] * (n + 2)
-    # Positions 0 and n + 1 stay dead.  A live run [a..b] keeps
-    # other[a] = b, other[b] = a and its minimum label in low[a] and
-    # low[b]; other[x] == 0 marks a dead position.
+    # Live run minima, ascending from first through nxt to n.  A merge only
+    # flags the absorbed ones dead, and the walk below passes each once.
+    # A live run [a..b] keeps other[a] = b, other[b] = a and its minimum in
+    # low[a] and low[b]; other[x] == 0 marks an off position, as 0 and n + 1.
+    first = n
+    nxt = [n] * (n + 1)
+    dead = [False] * (n + 1)
     other = [0] * (n + 2)
     low = [0] * (n + 2)
     for i in range(n - 1, -1, -1):
         p = row[i]
         a = other[p - 1]
         if a:
-            m = ml = low[p - 1]
-            nxt[prv[m]] = nxt[m]
-            prv[nxt[m]] = prv[m]
+            ml = low[a]
+            dead[ml] = True
         else:
             a, ml = p, n
         b = other[p + 1]
         if b:
-            m = mr = low[p + 1]
-            nxt[prv[m]] = nxt[m]
-            prv[nxt[m]] = prv[m]
+            mr = low[b]
+            dead[mr] = True
         else:
             b, mr = p, n
         other[a] = b
         other[b] = a
         low[a] = low[b] = i
-        f = nxt[head]
-        nxt[head] = i
-        nxt[i] = f
-        prv[f] = i
+        f = first
+        while dead[f]:
+            f = nxt[f]
+        nxt[i] = f  # cuts the walked minima out for good
+        first = i
         if side is not None:
             m = ml if side[i] else mr
             if m < f:
